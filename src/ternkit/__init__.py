@@ -19,8 +19,8 @@ from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
 from .packed import (PackedTernaryMatrix, pack, packed_gemm, packed_gemv,
                      storage_bytes, unpack)
 from .rng import Rng
-from .tensor import gaussian_fill, gelu, layer_norm, matmul
-from .ternary import (TernarizeConfig, TernaryMatrix, beta_sweep,
-                      compute_threshold, sparsity, ternarize)
+from .tensor import gaussian_fill, gelu, l2_normalize, layer_norm, matmul
+from .ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
+                      ternarize)
 
 __version__ = "0.1.0"

@@ -156,9 +156,20 @@ def distill(teacher: EncoderModel, student: EncoderModel, data: np.ndarray,
         raise ValueError("teacher and student architectures differ")
     if data.shape[1] != teacher.config.input_dim:
         raise ValueError(f"data width {data.shape[1]} != input_dim {teacher.config.input_dim}")
+    batch_log, epoch_losses = _train(student, data, lambda _, xb: teacher.forward(xb),
+                                     config)
+    return DistillResult(student, batch_log, epoch_losses)
+
+
+def _train(model: EncoderModel, data: np.ndarray, targets,
+           config: TrainConfig) -> tuple[list[LossRecord], list[float]]:
+    """Fit model(batch) to targets(batch indices, batch) by MSE and scheduled Adam.
+
+    Returns the per-batch loss log and the mean loss of each epoch.
+    """
     n = data.shape[0]
     rng = Rng(config.seed)
-    params = student.parameters()
+    params = model.parameters()
     state = AdamState.initialize(params, config.adam_beta1, config.adam_beta2,
                                  config.adam_eps)
     batch_log: list[LossRecord] = []
@@ -168,18 +179,17 @@ def distill(teacher: EncoderModel, student: EncoderModel, data: np.ndarray,
         perm = rng.permutation(n)
         losses = []
         for b, start in enumerate(range(0, n, config.batch_size)):
-            xb = data[perm[start:start + config.batch_size]]
-            target = teacher.forward(xb)
-            pred = student.forward(xb)
-            loss, dpred = mse_loss(pred, target)
+            idx = perm[start:start + config.batch_size]
+            xb = data[idx]
+            target = targets(idx, xb)
+            loss, dpred = mse_loss(model.forward(xb), target)
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} batch {b}")
-            student.backward(dpred)
-            adam_step(state, params, student.gradients(), lr)
+            adam_step(state, params, model.backward(dpred), lr)
             batch_log.append(LossRecord(epoch, b, loss, lr))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-    return DistillResult(student, batch_log, epoch_losses)
+    return batch_log, epoch_losses
 
 
 def teacher_student_mse(teacher: EncoderModel, student, data: np.ndarray) -> float:
@@ -242,23 +252,8 @@ def make_synthetic_teacher(config: EncoderConfig,
     task = make_synthetic_task(config, spec)
     teacher = EncoderModel.init(config)
     targets = task.codes[task.labels]
-    _fit_regression(teacher, task.inputs, targets, epochs=spec.teacher_epochs,
-                    lr=spec.teacher_lr, batch_size=spec.teacher_batch_size,
-                    seed=spec.seed + 1)
+    # lr_factor 1 holds the rate at teacher_lr for every epoch
+    fit = TrainConfig(epochs=spec.teacher_epochs, lr_initial=spec.teacher_lr, lr_factor=1.0,
+                      batch_size=spec.teacher_batch_size, seed=spec.seed + 1)
+    _train(teacher, task.inputs, lambda idx, _: targets[idx], fit)
     return teacher, task
-
-
-def _fit_regression(model: EncoderModel, x: np.ndarray, y: np.ndarray,
-                    epochs: int, lr: float, batch_size: int, seed: int) -> None:
-    rng = Rng(seed)
-    params = model.parameters()
-    state = AdamState.initialize(params)
-    n = x.shape[0]
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            pred = model.forward(x[idx])
-            _, dpred = mse_loss(pred, y[idx])
-            model.backward(dpred)
-            adam_step(state, params, model.gradients(), lr)

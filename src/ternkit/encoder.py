@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,6 +56,28 @@ class EncoderConfig:
     def from_dict(cls, d: dict) -> "EncoderConfig":
         return cls(**{k: int(d[k]) for k in ("input_dim", "hidden_dim", "output_dim",
                                              "num_blocks", "seed")})
+
+
+def part_shapes(config: EncoderConfig) -> list[tuple[str, dict[str, tuple[int, ...]]]]:
+    """The architecture in its one canonical order: (part name, {parameter: shape}).
+
+    A linear part carries ``weight`` (out, in) and ``bias``; the part
+    ``blocks.{i}`` is the layer norm of residual block i. Parameter names are
+    ``{part}.{parameter}``. Parameters, gradients and both checkpoint
+    layouts all follow this order.
+    """
+    h = config.hidden_dim
+
+    def linear(out_dim, in_dim):
+        return {"weight": (out_dim, in_dim), "bias": (out_dim,)}
+
+    parts = [("input_proj", linear(h, config.input_dim))]
+    for i in range(config.num_blocks):
+        parts += [(f"blocks.{i}", {"ln_gain": (h,), "ln_shift": (h,)}),
+                  (f"blocks.{i}.fc1", linear(h, h)),
+                  (f"blocks.{i}.fc2", linear(h, h))]
+    parts.append(("output_proj", linear(config.output_dim, h)))
+    return parts
 
 
 class LinearLayer:
@@ -158,73 +179,67 @@ class EncoderModel:
     def __init__(self, config: EncoderConfig, input_proj: LinearLayer,
                  blocks: list[ResidualBlock], output_proj: LinearLayer,
                  normalize: bool = False):
+        if len(blocks) != config.num_blocks:
+            raise ValueError(f"expected {config.num_blocks} blocks, got {len(blocks)}")
         self.config = config
         self.input_proj = input_proj
         self.blocks = blocks
         self.output_proj = output_proj
         self.normalize = normalize
         self._cache = None
+        # the same order as part_shapes
+        parts = [input_proj, *(p for blk in blocks for p in (blk, blk.fc1, blk.fc2)),
+                 output_proj]
+        spec = part_shapes(config)
+        self._parts = [(name, part) for (name, _), part in zip(spec, parts)]
+        # (parameter name, owner, attribute, gradient attribute), resolved once
+        # here because gradients() runs on every training batch
+        self._slots = [(f"{name}.{attr}", part, attr, "grad_" + attr)
+                       for (name, shapes), part in zip(spec, parts) for attr in shapes]
+
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray],
+                    mode: str = MODE_FULL, beta: float = DEFAULT_BETA,
+                    normalize: bool = False) -> "EncoderModel":
+        """Build a model from a name -> array mapping keyed like parameters()."""
+        parts = iter([[arrays[f"{name}.{attr}"] for attr in shapes]
+                      for name, shapes in part_shapes(config)])
+
+        def linear():
+            return LinearLayer(*next(parts), mode=mode, beta=beta)
+
+        input_proj = linear()
+        blocks = [ResidualBlock(*next(parts), linear(), linear())
+                  for _ in range(config.num_blocks)]
+        return cls(config, input_proj, blocks, linear(), normalize)
 
     @classmethod
     def init(cls, config: EncoderConfig) -> "EncoderModel":
         """Seeded Gaussian init, std 1/sqrt(fan_in); biases zero, gains one."""
         rng = Rng(config.seed)
-
-        def linear(out_dim, in_dim):
-            w = tensor.gaussian_fill(rng, out_dim, in_dim, sigma=in_dim ** -0.5)
-            return LinearLayer(w, np.zeros(out_dim, dtype=tensor.FLOAT))
-
-        input_proj = linear(config.hidden_dim, config.input_dim)
-        blocks = []
-        for _ in range(config.num_blocks):
-            blocks.append(ResidualBlock(
-                np.ones(config.hidden_dim, dtype=tensor.FLOAT),
-                np.zeros(config.hidden_dim, dtype=tensor.FLOAT),
-                linear(config.hidden_dim, config.hidden_dim),
-                linear(config.hidden_dim, config.hidden_dim),
-            ))
-        output_proj = linear(config.output_dim, config.hidden_dim)
-        return cls(config, input_proj, blocks, output_proj)
+        arrays = {}
+        for name, shapes in part_shapes(config):
+            for attr, shape in shapes.items():
+                if attr == "weight":
+                    arr = tensor.gaussian_fill(rng, *shape, sigma=shape[1] ** -0.5)
+                elif attr == "ln_gain":
+                    arr = np.ones(shape, dtype=tensor.FLOAT)
+                else:
+                    arr = np.zeros(shape, dtype=tensor.FLOAT)
+                arrays[f"{name}.{attr}"] = arr
+        return cls.from_arrays(config, arrays)
 
     # -- structure walkers -------------------------------------------------
 
     def linear_layers(self) -> list[tuple[str, LinearLayer]]:
-        layers = [("input_proj", self.input_proj)]
-        for i, blk in enumerate(self.blocks):
-            layers.append((f"blocks.{i}.fc1", blk.fc1))
-            layers.append((f"blocks.{i}.fc2", blk.fc2))
-        layers.append(("output_proj", self.output_proj))
-        return layers
+        return [(name, part) for name, part in self._parts if isinstance(part, LinearLayer)]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Ordered name -> live array mapping (optimizers update in place)."""
-        params: dict[str, np.ndarray] = {}
-        params["input_proj.weight"] = self.input_proj.weight
-        params["input_proj.bias"] = self.input_proj.bias
-        for i, blk in enumerate(self.blocks):
-            params[f"blocks.{i}.ln_gain"] = blk.ln_gain
-            params[f"blocks.{i}.ln_shift"] = blk.ln_shift
-            params[f"blocks.{i}.fc1.weight"] = blk.fc1.weight
-            params[f"blocks.{i}.fc1.bias"] = blk.fc1.bias
-            params[f"blocks.{i}.fc2.weight"] = blk.fc2.weight
-            params[f"blocks.{i}.fc2.bias"] = blk.fc2.bias
-        params["output_proj.weight"] = self.output_proj.weight
-        params["output_proj.bias"] = self.output_proj.bias
-        return params
+        return {key: getattr(part, attr) for key, part, attr, _ in self._slots}
 
     def gradients(self) -> dict[str, np.ndarray]:
-        grads: dict[str, np.ndarray] = {}
-        grads["input_proj.weight"] = self.input_proj.grad_weight
-        grads["input_proj.bias"] = self.input_proj.grad_bias
-        for i, blk in enumerate(self.blocks):
-            grads[f"blocks.{i}.ln_gain"] = blk.grad_ln_gain
-            grads[f"blocks.{i}.ln_shift"] = blk.grad_ln_shift
-            grads[f"blocks.{i}.fc1.weight"] = blk.fc1.grad_weight
-            grads[f"blocks.{i}.fc1.bias"] = blk.fc1.grad_bias
-            grads[f"blocks.{i}.fc2.weight"] = blk.fc2.grad_weight
-            grads[f"blocks.{i}.fc2.bias"] = blk.fc2.grad_bias
-        grads["output_proj.weight"] = self.output_proj.grad_weight
-        grads["output_proj.bias"] = self.output_proj.grad_bias
+        grads = {key: getattr(part, grad) for key, part, _, grad in self._slots}
         if any(g is None for g in grads.values()):
             raise RuntimeError("gradients requested before a backward pass")
         return grads
@@ -240,11 +255,10 @@ class EncoderModel:
         for blk in self.blocks:
             h = blk.forward(h)
         out = self.output_proj.forward(h)
+        self._cache = None
         if self.normalize:
-            out, norm_cache = _l2_normalize_with_cache(out)
-        else:
-            norm_cache = None
-        self._cache = norm_cache
+            out, norms = tensor.l2_normalize(out)
+            self._cache = (out.astype(np.float64), norms)
         return out
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -266,13 +280,8 @@ class EncoderModel:
     def astype(self, dtype) -> "EncoderModel":
         """Clone with every parameter cast; used for numeric verification."""
         m = self.clone()
-        for layer in (m.input_proj, m.output_proj, *(b.fc1 for b in m.blocks),
-                      *(b.fc2 for b in m.blocks)):
-            layer.weight = layer.weight.astype(dtype)
-            layer.bias = layer.bias.astype(dtype)
-        for blk in m.blocks:
-            blk.ln_gain = blk.ln_gain.astype(dtype)
-            blk.ln_shift = blk.ln_shift.astype(dtype)
+        for _, part, attr, _ in m._slots:
+            setattr(part, attr, getattr(part, attr).astype(dtype))
         return m
 
 
@@ -327,16 +336,8 @@ class PackedEncoder:
             h = h + packed_gemm(next(layers), z.T).T
         out = packed_gemm(next(layers), h.T).T
         if self.normalize:
-            out, _ = _l2_normalize_with_cache(out)
+            out, _ = tensor.l2_normalize(out)
         return out
-
-
-def _l2_normalize_with_cache(x: np.ndarray):
-    x64 = x.astype(np.float64)
-    norms = np.sqrt((x64 * x64).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    y = (x64 / safe).astype(x.dtype)
-    return y, (y.astype(np.float64), safe)
 
 
 def _l2_normalize_backward(dy: np.ndarray, cache) -> np.ndarray:
@@ -360,6 +361,3 @@ def architecture_parity(a: EncoderModel, b: EncoderModel) -> bool:
     pa, pb = a.parameters(), b.parameters()
     return list(pa) == list(pb) and all(pa[k].shape == pb[k].shape for k in pa)
 
-
-def config_digest(config: EncoderConfig) -> str:
-    return hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()

@@ -35,6 +35,16 @@ def row_bytes(cols: int) -> int:
     return (cols + 7) // 8
 
 
+def _check_planes(cols: int, plus_plane: np.ndarray, minus_plane: np.ndarray) -> None:
+    """Raise PlaneIntegrityError if the planes overlap or set padding bits."""
+    if np.any(plus_plane & minus_plane):
+        raise PlaneIntegrityError("plus and minus planes overlap")
+    if cols % 8:
+        pad_mask = np.uint8((0xFF << (cols % 8)) & 0xFF)
+        if np.any(plus_plane[:, -1] & pad_mask) or np.any(minus_plane[:, -1] & pad_mask):
+            raise PlaneIntegrityError("padding bits beyond cols are set")
+
+
 class PackedTernaryMatrix:
     """Immutable two-plane ternary matrix with scale and optional bias."""
 
@@ -48,12 +58,7 @@ class PackedTernaryMatrix:
         if plus_plane.shape != (rows, nbytes) or minus_plane.shape != (rows, nbytes):
             raise ValueError(
                 f"plane shape must be ({rows}, {nbytes}), got {plus_plane.shape} and {minus_plane.shape}")
-        if np.any(plus_plane & minus_plane):
-            raise PlaneIntegrityError("plus and minus planes overlap")
-        if cols % 8:
-            pad_mask = np.uint8((0xFF << (cols % 8)) & 0xFF)
-            if np.any(plus_plane[:, -1] & pad_mask) or np.any(minus_plane[:, -1] & pad_mask):
-                raise PlaneIntegrityError("padding bits beyond cols are set")
+        _check_planes(cols, plus_plane, minus_plane)
         if gamma < 0 or not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
         if bias is not None:
@@ -96,12 +101,7 @@ def pack(t: TernaryMatrix, bias: np.ndarray | None = None) -> PackedTernaryMatri
 
 def unpack(p: PackedTernaryMatrix) -> TernaryMatrix:
     """Exact inverse of pack; re-validates plane integrity."""
-    if np.any(p.plus_plane & p.minus_plane):
-        raise PlaneIntegrityError("plus and minus planes overlap")
-    if p.cols % 8:
-        pad_mask = np.uint8((0xFF << (p.cols % 8)) & 0xFF)
-        if np.any(p.plus_plane[:, -1] & pad_mask) or np.any(p.minus_plane[:, -1] & pad_mask):
-            raise PlaneIntegrityError("padding bits beyond cols are set")
+    _check_planes(p.cols, p.plus_plane, p.minus_plane)
     plus, minus = p.masks()
     trits = plus.astype(np.int8) - minus.astype(np.int8)
     return TernaryMatrix(p.rows, p.cols, trits, p.gamma)

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
-                      MODE_TERNARY, PackedEncoder, ResidualBlock)
-from .packed import (PACKED_RECORD_HEADER_BYTES, PackedTernaryMatrix,
-                     PlaneIntegrityError, row_bytes)
+from .encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
+                      PackedEncoder, export_packed, part_shapes)
+from .packed import PackedTernaryMatrix, PlaneIntegrityError, row_bytes
 from .tensor import FLOAT
 
 MAGIC_TENSOR = b"TERN"
@@ -230,13 +229,6 @@ def load_packed_layer(path) -> PackedTernaryMatrix:
     return out
 
 
-def packed_record_bytes(p: PackedTernaryMatrix) -> int:
-    """Size write_packed_layer will produce; header is 15 bytes plus gamma."""
-    planes = 2 * p.rows * row_bytes(p.cols)
-    bias = 4 * p.rows if p.bias is not None else 0
-    return PACKED_RECORD_HEADER_BYTES + 4 + planes + bias
-
-
 # -- vector dataset --------------------------------------------------------------
 
 def save_vectors(path, vectors: np.ndarray) -> None:
@@ -279,54 +271,61 @@ def _file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def save_checkpoint(path, model: EncoderModel) -> None:
-    """Full-precision checkpoint: every parameter as an f32 container."""
-    params = model.parameters()
+def _entries(config: EncoderConfig, mode: str) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, kind, shape) of every record of a checkpoint, in file order.
+
+    A dense checkpoint holds one f32 tensor per parameter; a packed one holds
+    each linear part as one packed record with its weight's shape.
+    """
+    entries = []
+    for name, shapes in part_shapes(config):
+        if mode == "packed" and "weight" in shapes:
+            entries.append((name, "packed", shapes["weight"]))
+        else:
+            entries += [(f"{name}.{attr}", "tensor", shape) for attr, shape in shapes.items()]
+    return entries
+
+
+def _write_checkpoint(path, model: EncoderModel, mode: str, records, meta: dict) -> None:
+    entries = _entries(model.config, mode)
     with open(path, "wb") as f:
-        for arr in params.values():
-            write_tensor(f, np.ascontiguousarray(arr, dtype=FLOAT))
-    modes = {layer.mode for _, layer in model.linear_layers()}
-    betas = {layer.beta for _, layer in model.linear_layers()}
+        for (_, kind, _), record in zip(entries, records, strict=True):
+            if kind == "packed":
+                write_packed_layer(f, record)
+            else:
+                write_tensor(f, np.ascontiguousarray(record, dtype=FLOAT))
     _write_sidecar(path, {
         "format": CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
-        "mode": "dense",
-        "linear_mode": modes.pop() if len(modes) == 1 else MODE_FULL,
-        "beta": betas.pop() if len(betas) == 1 else 2.0,
+        "mode": mode,
         "normalize": bool(model.normalize),
         "config": model.config.to_dict(),
-        "entries": [{"name": name, "kind": "tensor"} for name in params],
+        "entries": [{"name": name, "kind": kind} for name, kind, _ in entries],
         "sha256": _file_sha256(path),
+        **meta,
+    })
+
+
+def save_checkpoint(path, model: EncoderModel) -> None:
+    """Full-precision checkpoint: every parameter as an f32 container."""
+    modes = {layer.mode for _, layer in model.linear_layers()}
+    betas = {layer.beta for _, layer in model.linear_layers()}
+    _write_checkpoint(path, model, "dense", model.parameters().values(), {
+        "linear_mode": modes.pop() if len(modes) == 1 else MODE_FULL,
+        "beta": betas.pop() if len(betas) == 1 else 2.0,
     })
 
 
 def save_ternary_checkpoint(path, model: EncoderModel) -> None:
-    """Exported ternary checkpoint: packed linears, norms kept full-precision."""
-    entries = []
-    with open(path, "wb") as f:
-        layers = dict(model.linear_layers())
-        write_packed_layer(f, layers["input_proj"].ternary_export())
-        entries.append({"name": "input_proj", "kind": "packed"})
-        for i, blk in enumerate(model.blocks):
-            write_tensor(f, blk.ln_gain)
-            entries.append({"name": f"blocks.{i}.ln_gain", "kind": "tensor"})
-            write_tensor(f, blk.ln_shift)
-            entries.append({"name": f"blocks.{i}.ln_shift", "kind": "tensor"})
-            write_packed_layer(f, blk.fc1.ternary_export())
-            entries.append({"name": f"blocks.{i}.fc1", "kind": "packed"})
-            write_packed_layer(f, blk.fc2.ternary_export())
-            entries.append({"name": f"blocks.{i}.fc2", "kind": "packed"})
-        write_packed_layer(f, layers["output_proj"].ternary_export())
-        entries.append({"name": "output_proj", "kind": "packed"})
-    _write_sidecar(path, {
-        "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
-        "mode": "packed",
-        "normalize": bool(model.normalize),
-        "config": model.config.to_dict(),
-        "entries": entries,
-        "sha256": _file_sha256(path),
-    })
+    """Exported ternary checkpoint: packed linears, norms kept full-precision.
+
+    Raises ValueError unless every linear layer is in ternary mode.
+    """
+    packed = iter(export_packed(model))
+    params = model.parameters()
+    records = [next(packed) if kind == "packed" else params[name]
+               for name, kind, _ in _entries(model.config, "packed")]
+    _write_checkpoint(path, model, "packed", records, {})
 
 
 def _load_sidecar(path) -> dict:
@@ -338,10 +337,13 @@ def _load_sidecar(path) -> dict:
             meta = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed sidecar JSON: {e}") from e
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"not a checkpoint sidecar: {meta.get('format')!r}")
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError("not a checkpoint sidecar")
     if meta.get("version") != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported checkpoint version {meta.get('version')}")
+    missing = [k for k in ("sha256", "mode", "entries", "config") if k not in meta]
+    if missing:
+        raise ConfigError(f"sidecar lacks {', '.join(missing)}")
     return meta
 
 
@@ -354,59 +356,51 @@ def load_checkpoint(path):
         config = EncoderConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad config in sidecar: {e}") from e
+    mode = meta["mode"]
+    if mode not in ("dense", "packed"):
+        raise ConfigError(f"unknown checkpoint mode {mode!r}")
+    try:
+        listed = [(e["name"], e["kind"]) for e in meta["entries"]]
+    except (KeyError, TypeError) as e:
+        raise ConfigError(f"malformed sidecar entries: {e!r}") from e
+    # every block adds several entries, so this bounds the list built next
+    if config.num_blocks > len(listed):
+        raise ConfigError("sidecar entries do not match the architecture in its config")
+    expected = _entries(config, mode)
+    if listed != [(name, kind) for name, kind, _ in expected]:
+        raise ConfigError("sidecar entries do not match the architecture in its config")
+
     records = {}
     with open(path, "rb") as f:
-        for entry in meta["entries"]:
-            if entry["kind"] == "tensor":
-                records[entry["name"]] = read_tensor(f)
-            elif entry["kind"] == "packed":
-                records[entry["name"]] = read_packed_layer(f)
+        for name, kind, shape in expected:
+            if kind == "packed":
+                record = read_packed_layer(f)
+                ok = (record.rows, record.cols) == shape and record.bias is not None
             else:
-                raise ConfigError(f"unknown entry kind {entry['kind']!r}")
+                record = read_tensor(f)
+                ok = (isinstance(record, np.ndarray) and record.dtype == FLOAT
+                      and record.shape == shape)
+            if not ok:
+                raise IntegrityError(f"record {name} does not match its config shape {shape}")
+            records[name] = record
         if f.read(1):
             raise IntegrityError("trailing bytes after checkpoint records")
 
-    if meta["mode"] == "dense":
-        return _assemble_dense(config, meta, records)
-    if meta["mode"] == "packed":
-        ln = [(records[f"blocks.{i}.ln_gain"], records[f"blocks.{i}.ln_shift"])
-              for i in range(config.num_blocks)]
-        packed = [records["input_proj"]]
-        for i in range(config.num_blocks):
-            packed.append(records[f"blocks.{i}.fc1"])
-            packed.append(records[f"blocks.{i}.fc2"])
-        packed.append(records["output_proj"])
-        # from_model ordering: input, (fc1, fc2)*blocks, output
-        return PackedEncoder(config, packed, ln, normalize=meta.get("normalize", False))
-    raise ConfigError(f"unknown checkpoint mode {meta['mode']!r}")
-
-
-def _assemble_dense(config: EncoderConfig, meta: dict, records: dict) -> EncoderModel:
-    mode = meta.get("linear_mode", MODE_FULL)
-    if mode not in (MODE_FULL, MODE_TERNARY):
-        raise ConfigError(f"unknown linear mode {mode!r}")
-    beta = float(meta.get("beta", 2.0))
-
-    def linear(prefix):
-        try:
-            return LinearLayer(records[f"{prefix}.weight"], records[f"{prefix}.bias"],
-                               mode=mode, beta=beta)
-        except KeyError as e:
-            raise ConfigError(f"checkpoint missing entry {e}") from e
-
+    normalize = meta.get("normalize", False)
+    if mode == "packed":
+        parts = part_shapes(config)
+        packed = [records[name] for name, shapes in parts if "weight" in shapes]
+        ln = [tuple(records[f"{name}.{attr}"] for attr in shapes)
+              for name, shapes in parts if "weight" not in shapes]
+        return PackedEncoder(config, packed, ln, normalize)
+    linear_mode = meta.get("linear_mode", MODE_FULL)
+    if linear_mode not in (MODE_FULL, MODE_TERNARY):
+        raise ConfigError(f"unknown linear mode {linear_mode!r}")
     try:
-        blocks = [ResidualBlock(records[f"blocks.{i}.ln_gain"],
-                                records[f"blocks.{i}.ln_shift"],
-                                linear(f"blocks.{i}.fc1"), linear(f"blocks.{i}.fc2"))
-                  for i in range(config.num_blocks)]
-    except KeyError as e:
-        raise ConfigError(f"checkpoint missing entry {e}") from e
-    model = EncoderModel(config, linear("input_proj"), blocks, linear("output_proj"),
-                         normalize=meta.get("normalize", False))
-    for name, arr in model.parameters().items():
-        if arr.shape != records[name].shape:
-            raise IntegrityError(f"shape mismatch for {name}")
-    return model
+        beta = float(meta.get("beta", 2.0))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad beta in sidecar: {e}") from e
+    return EncoderModel.from_arrays(config, records, linear_mode, beta, normalize)
 
 
 def checkpoint_total_bytes(path) -> int:

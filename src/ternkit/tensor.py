@@ -61,25 +61,6 @@ def gaussian_fill(rng: Rng, rows: int, cols: int, sigma: float) -> np.ndarray:
     return rng.normals(rows * cols, sigma=sigma).reshape(rows, cols).astype(FLOAT)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    a = np.asarray(a)
-    return (a.astype(np.float64) * float(c)).astype(a.dtype)
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian error linear unit: x * Phi(x)."""
     x = np.asarray(x)
@@ -123,3 +104,16 @@ def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
     normed = centered * inv_std
     y = (normed * gain.astype(np.float64) + shift.astype(np.float64)).astype(x.dtype)
     return y, (normed, inv_std)
+
+
+def l2_normalize(x: np.ndarray):
+    """Scale each row to unit L2 norm in float64, rounded back to x's dtype.
+
+    Zero rows stay zero. Also returns the (rows, 1) float64 divisors, with
+    1 standing in for zero norms, which the backward pass divides by.
+    """
+    x = np.asarray(x)
+    x64 = x.astype(np.float64, copy=False)
+    norms = np.sqrt((x64 * x64).sum(axis=1, keepdims=True))
+    norms = np.where(norms > 0.0, norms, 1.0)
+    return (x64 / norms).astype(x.dtype), norms

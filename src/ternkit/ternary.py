@@ -23,23 +23,6 @@ import numpy as np
 from .tensor import FLOAT, as_matrix
 
 DEFAULT_BETA = 2.0
-TWN_BETA = 0.75
-
-
-@dataclass
-class TernarizeConfig:
-    """Ternarization knobs. twn_mode pins beta to the TWN baseline value."""
-
-    beta: float = DEFAULT_BETA
-    twn_mode: bool = False
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-    @property
-    def effective_beta(self) -> float:
-        return TWN_BETA if self.twn_mode else self.beta
 
 
 @dataclass(eq=False)

@@ -5,6 +5,7 @@ import pytest
 
 from ternkit import storage
 from ternkit.cli import main
+from ternkit.encoder import MODE_TERNARY, replace_linears
 from ternkit.rng import Rng
 from ternkit.tensor import gaussian_fill
 
@@ -209,6 +210,25 @@ def test_eval_retrieval_k_beyond_corpus_exits_2(capsys, tmp_path, task_files):
                          "--dataset", str(data), "--labels", str(labels),
                          "--index", "flat", "--k", "9999")
     assert code == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("sha256"),
+    lambda meta: meta["entries"][0].update(name="renamed"),
+], ids=["no_sha256", "renamed_entry"])
+def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, edit):
+    teacher, data, labels = task_files
+    model = tmp_path / "student.tckpt"
+    storage.save_ternary_checkpoint(
+        model, replace_linears(storage.load_checkpoint(teacher), MODE_TERNARY))
+    sidecar = tmp_path / "student.tckpt.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    code, _, err = run_cli(capsys, "eval-retrieval", "--model", str(model),
+                           "--dataset", str(data), "--labels", str(labels),
+                           "--index", "flat", "--k", "1")
+    assert code == 2, err
 
 
 def test_seed_env_override_changes_task(capsys, tmp_path, monkeypatch):

@@ -105,7 +105,7 @@ def test_packed_record_round_trip(rows, cols, bias):
     buf = io.BytesIO()
     storage.write_packed_layer(buf, p)
     raw = buf.getvalue()
-    assert len(raw) == storage.packed_record_bytes(p) == storage_bytes(p)
+    assert len(raw) == storage_bytes(p)
     buf.seek(0)
     back = storage.read_packed_layer(buf)
     assert back.rows == p.rows and back.cols == p.cols
@@ -264,3 +264,36 @@ def test_sidecar_is_valid_json_with_entries(tmp_path):
     meta = json.loads((tmp_path / "m.ckpt.json").read_text())
     assert meta["format"] == "ternkit-checkpoint"
     assert [e["name"] for e in meta["entries"]] == list(model.parameters())
+
+
+def test_ternary_checkpoint_rejects_full_precision_model(tmp_path):
+    model = EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=10))
+    with pytest.raises(ValueError):
+        storage.save_ternary_checkpoint(tmp_path / "m.tckpt", model)
+
+
+@pytest.mark.parametrize("save", [storage.save_checkpoint, storage.save_ternary_checkpoint])
+def test_checkpoint_records_checked_against_config_shapes(tmp_path, save):
+    model = replace_linears(EncoderModel.init(EncoderConfig(6, 8, 6, 2, seed=3)),
+                            MODE_TERNARY, 2.0)
+    path = tmp_path / "m.ckpt"
+    save(path, model)
+    sidecar = tmp_path / "m.ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"]["input_dim"] = 5
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(IntegrityError):
+        storage.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["sha256", "mode", "entries", "config"])
+def test_checkpoint_sidecar_missing_key_is_config_error(tmp_path, key):
+    model = EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=11))
+    path = tmp_path / "m.ckpt"
+    storage.save_checkpoint(path, model)
+    sidecar = tmp_path / "m.ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    del meta[key]
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError):
+        storage.load_checkpoint(path)

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import random_matrix
 from ternkit.rng import Rng
-from ternkit.tensor import (add, as_matrix, gaussian_fill, gelu, gelu_grad,
-                            layer_norm, matmul, scale, sub)
+from ternkit.tensor import (as_matrix, gaussian_fill, gelu, gelu_grad, l2_normalize,
+                            layer_norm, matmul)
 
 
 def naive_matmul(a, b):
@@ -84,17 +84,6 @@ def test_gaussian_fill_rejects_bad_sigma():
         gaussian_fill(Rng(1), 2, 2, -1.0)
 
 
-def test_elementwise_examples():
-    assert np.array_equal(scale(np.array([[2.0, -2.0]], np.float32), 0.5),
-                          np.array([[1.0, -1.0]], np.float32))
-    a = np.array([[1.0, 2.0]], np.float32)
-    b = np.array([[3.0, -1.0]], np.float32)
-    assert np.array_equal(add(a, b), np.array([[4.0, 1.0]], np.float32))
-    assert np.array_equal(sub(a, b), np.array([[-2.0, 3.0]], np.float32))
-    with pytest.raises(ValueError):
-        add(a, np.zeros((2, 2), np.float32))
-
-
 def test_gelu_at_zero_and_signs():
     assert gelu(np.array([0.0], np.float32))[0] == 0.0
     x = np.array([-3.0, -0.5, 0.5, 3.0], np.float32)
@@ -140,3 +129,11 @@ def test_as_matrix_validation():
         as_matrix(np.zeros((0, 3), np.float32))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan]], np.float32))
+
+
+def test_l2_normalize_unit_rows_and_zero_rows():
+    x = np.array([[3.0, 4.0], [0.0, 0.0]], np.float32)
+    y, norms = l2_normalize(x)
+    assert y.dtype == np.float32
+    assert np.array_equal(y, np.array([[0.6, 0.8], [0.0, 0.0]], np.float32))
+    assert np.array_equal(norms, np.array([[5.0], [1.0]]))

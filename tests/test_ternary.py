@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_matrix
 from ternkit.rng import Rng
-from ternkit.ternary import (TernarizeConfig, TernaryMatrix, beta_sweep,
-                             compute_threshold, sparsity, ternarize)
+from ternkit.ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
+                             ternarize)
 
 finite_f32 = st.floats(min_value=-100, max_value=100, width=32,
                        allow_nan=False, allow_infinity=False)
@@ -132,14 +132,6 @@ def test_gaussian_sparsity_against_analytic_oracle():
     for beta in (0.75, 1.0, 2.0, 3.0):
         measured = sparsity(ternarize(w, compute_threshold(w, beta)))
         assert measured == pytest.approx(gaussian_sparsity(beta), abs=0.01)
-
-
-def test_twn_config_overrides_beta():
-    cfg = TernarizeConfig(beta=5.0, twn_mode=True)
-    assert cfg.effective_beta == 0.75
-    assert TernarizeConfig(beta=5.0).effective_beta == 5.0
-    with pytest.raises(ValueError):
-        TernarizeConfig(beta=-1.0)
 
 
 def test_beta_sweep_sorted_and_monotone():
