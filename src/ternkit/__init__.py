@@ -2,7 +2,8 @@
 
 Quantize dense linear layers to {-1, 0, +1} with a beta-scaled threshold,
 recover accuracy by self-distillation from the full-precision model,
-execute the result through a multiplication-free bit-plane kernel, and
+execute the result through a bit-plane kernel (the inner loop multiplies
+only by ±1, which is exact, and gamma and bias touch each output once), and
 measure embedding quality with built-in nearest-neighbor retrieval.
 """
 

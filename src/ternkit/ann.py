@@ -59,6 +59,12 @@ def _check_query(query: np.ndarray, dim: int) -> np.ndarray:
 
 def _rank(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
     """ids sorted by (distance, id) ascending, truncated to k."""
+    if dists.size > k:
+        # only ids at or below the k-th distance can make the top k, ties included;
+        # a NaN k-th distance keeps fewer than k, so those fall back to the full sort
+        keep = dists <= np.partition(dists, k - 1)[k - 1]
+        if np.count_nonzero(keep) >= k:
+            ids, dists = ids[keep], dists[keep]
     order = np.lexsort((ids, dists))
     return ids[order[:k]]
 

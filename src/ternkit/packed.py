@@ -1,4 +1,4 @@
-"""Bit-plane representation of ternary matrices and the add-only kernel.
+"""Bit-plane representation of ternary matrices and the ±1 sparse kernel.
 
 A packed matrix stores two per-row bitmasks: the plus plane marks +1 trits,
 the minus plane marks -1 trits. Bit j of a row byte-string is bit ``j % 8``
@@ -7,24 +7,22 @@ byte with zero bits. The planes are disjoint by construction and 0.25 bits
 per weight each, realizing the ~1.58-bit storage bound with a dead-code-free
 layout (unlike 2-bit integer codes, there is no fourth state to waste).
 
-The matrix-vector kernel is multiplication-free: each output element is a
-masked sum of inputs over the plus plane minus a masked sum over the minus
-plane, followed by one scale by gamma and one bias add. Accumulation is in
-float64 and the result rounds to float32.
+On first use a matrix builds one compute operand from its planes: a CSR
+matrix holding +1 at every plus bit and -1 at every minus bit. The inner loop
+multiplies only by ±1, which is exact, and gamma and bias touch each output
+once. Accumulation is in float64 and the result rounds to float32.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .tensor import FLOAT
 from .ternary import TernaryMatrix
 
 # On-disk record overhead: magic(4) + version(2) + rows(4) + cols(4) + bias flag(1).
 PACKED_RECORD_HEADER_BYTES = 15
-
-# Cap on the float64 scratch the batched kernel may allocate (in elements).
-_SCRATCH_ELEMS = 2_000_000
 
 
 class PlaneIntegrityError(ValueError):
@@ -71,25 +69,20 @@ class PackedTernaryMatrix:
         self.minus_plane = minus_plane
         self.gamma = float(np.float32(gamma))
         self.bias = bias
-        self._masks: tuple[np.ndarray, np.ndarray] | None = None
-        self._gather: tuple[_PlaneGather, _PlaneGather] | None = None
+        self._csr: sparse.csr_matrix | None = None
 
-    def masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (rows, cols) masks for the two planes, cached after first use."""
-        if self._masks is None:
-            plus = np.unpackbits(self.plus_plane, axis=1, count=self.cols,
-                                 bitorder="little").astype(bool)
-            minus = np.unpackbits(self.minus_plane, axis=1, count=self.cols,
-                                  bitorder="little").astype(bool)
-            self._masks = (plus, minus)
-        return self._masks
+    def csr(self) -> sparse.csr_matrix:
+        """The trits as a float64 CSR matrix of ±1 entries, built once on first use."""
+        if self._csr is None:
+            self._csr = sparse.csr_matrix(_plane_trits(self), dtype=np.float64)
+        return self._csr
 
-    def gather_plan(self) -> tuple["_PlaneGather", "_PlaneGather"]:
-        """Per-plane gather/segment structure for the add-only kernel, cached."""
-        if self._gather is None:
-            plus, minus = self.masks()
-            self._gather = (_PlaneGather(plus), _PlaneGather(minus))
-        return self._gather
+
+def _plane_trits(p: PackedTernaryMatrix) -> np.ndarray:
+    """int8 trits read off the planes: plus bits minus minus bits."""
+    plus, minus = (np.unpackbits(plane, axis=1, count=p.cols, bitorder="little").view(np.int8)
+                   for plane in (p.plus_plane, p.minus_plane))
+    return plus - minus
 
 
 def pack(t: TernaryMatrix, bias: np.ndarray | None = None) -> PackedTernaryMatrix:
@@ -102,59 +95,23 @@ def pack(t: TernaryMatrix, bias: np.ndarray | None = None) -> PackedTernaryMatri
 def unpack(p: PackedTernaryMatrix) -> TernaryMatrix:
     """Exact inverse of pack; re-validates plane integrity."""
     _check_planes(p.cols, p.plus_plane, p.minus_plane)
-    plus, minus = p.masks()
-    trits = plus.astype(np.int8) - minus.astype(np.int8)
-    return TernaryMatrix(p.rows, p.cols, trits, p.gamma)
+    return TernaryMatrix(p.rows, p.cols, _plane_trits(p), p.gamma)
 
 
-class _PlaneGather:
-    """Row-segmented view of one plane's set bits.
-
-    cols holds the column index of every set bit in row-major order;
-    offsets[i] is where row i's run starts. Row sums are then a gather of
-    the input followed by one segmented add per row — no multiplications.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        rows_nz, cols_nz = np.nonzero(mask)
-        self.cols = cols_nz
-        counts = np.bincount(rows_nz, minlength=mask.shape[0])
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        self.empty = counts == 0
-        self.nnz = int(cols_nz.size)
-
-    def row_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-row sum of x over this plane's set bits, accumulated in float64."""
-        if self.nnz == 0:
-            shape = (self.counts.size,) + x.shape[1:]
-            return np.zeros(shape, dtype=np.float64)
-        gathered = x[self.cols].astype(np.float64)
-        # a zero pad element keeps every offset (including nnz, from trailing
-        # empty rows) a valid reduceat index without touching real segments;
-        # reduceat turns empty segments into singletons, zeroed afterwards
-        pad = np.zeros((1,) + gathered.shape[1:], dtype=np.float64)
-        sums = np.add.reduceat(np.concatenate([gathered, pad], axis=0),
-                               self.offsets, axis=0)
-        sums[self.empty] = 0.0
-        return sums
+def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
+    """gamma * (trits @ x) + bias in float64, rounded to float32; bias broadcasts per column."""
+    y = np.float64(p.gamma) * (p.csr() @ np.ascontiguousarray(x, dtype=np.float64))
+    if p.bias is not None:
+        y += p.bias.astype(np.float64).reshape((p.rows,) + (1,) * (x.ndim - 1))
+    return y.astype(FLOAT)
 
 
 def packed_gemv(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
-    """y_i = gamma * (sum of x over plus bits - sum over minus bits) + bias_i.
-
-    The inner accumulation is a gather plus segmented adds/subtracts only;
-    gamma and bias touch each output element exactly once.
-    """
+    """y_i = gamma * (sum of x over plus bits - sum over minus bits) + bias_i."""
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 1 or x.shape[0] != p.cols:
         raise ValueError(f"input length {x.shape} does not match cols {p.cols}")
-    plus, minus = p.gather_plan()
-    acc = plus.row_sums(x) - minus.row_sums(x)
-    y = np.float64(p.gamma) * acc
-    if p.bias is not None:
-        y = y + p.bias.astype(np.float64)
-    return y.astype(FLOAT)
+    return _apply(p, x)
 
 
 def packed_gemm(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
@@ -162,17 +119,7 @@ def packed_gemm(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim != 2 or x.shape[0] != p.cols:
         raise ValueError(f"input shape {x.shape} does not match cols {p.cols}")
-    m = x.shape[1]
-    plus, minus = p.gather_plan()
-    out = np.empty((p.rows, m), dtype=np.float64)
-    widest = max(plus.nnz, minus.nnz, 1)
-    blk = max(1, _SCRATCH_ELEMS // widest)
-    for j0 in range(0, m, blk):
-        xb = x[:, j0:j0 + blk]
-        out[:, j0:j0 + blk] = np.float64(p.gamma) * (plus.row_sums(xb) - minus.row_sums(xb))
-    if p.bias is not None:
-        out = out + p.bias.astype(np.float64)[:, None]
-    return out.astype(FLOAT)
+    return _apply(p, x)
 
 
 def storage_bytes(p: PackedTernaryMatrix) -> int:

@@ -25,7 +25,9 @@ Model checkpoint:             concatenated records (TERN and/or TPKD) plus
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -72,7 +74,24 @@ class ConfigError(FormatError):
     pass
 
 
+def _bytes_left(f) -> int:
+    """Bytes between the read position and the end of the file."""
+    try:
+        size = os.fstat(f.fileno()).st_size
+    except OSError:  # in-memory streams have no descriptor
+        pos = f.tell()
+        size = f.seek(0, os.SEEK_END)
+        f.seek(pos)
+    return size - f.tell()
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
+    # a forged length must never size a buffer, so reads beyond one buffer's
+    # worth are checked against the file first; shorter ones are caught below
+    if n > io.DEFAULT_BUFFER_SIZE:
+        left = _bytes_left(f)
+        if n > left:
+            raise TruncatedFileError(f"{what} needs {n} bytes but only {left} remain in the file")
     data = f.read(n)
     if len(data) != n:
         raise TruncatedFileError(f"unexpected end of file while reading {what}")
@@ -142,12 +161,11 @@ def read_tensor(f):
     dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
     if any(d < 1 for d in dims):
         raise IntegrityError(f"all dims must be >= 1, got {dims}")
+    count = math.prod(dims)
     if code == DTYPE_F32:
-        count = int(np.prod(dims))
         payload = _read_exact(f, 4 * count, "f32 payload")
         return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
     if code == DTYPE_U8:
-        count = int(np.prod(dims))
         payload = _read_exact(f, count, "u8 payload")
         return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
     if code == DTYPE_TRIT_PLANES:
@@ -307,13 +325,20 @@ def _write_checkpoint(path, model: EncoderModel, mode: str, records, meta: dict)
 
 
 def save_checkpoint(path, model: EncoderModel) -> None:
-    """Full-precision checkpoint: every parameter as an f32 container."""
-    modes = {layer.mode for _, layer in model.linear_layers()}
-    betas = {layer.beta for _, layer in model.linear_layers()}
-    _write_checkpoint(path, model, "dense", model.parameters().values(), {
-        "linear_mode": modes.pop() if len(modes) == 1 else MODE_FULL,
-        "beta": betas.pop() if len(betas) == 1 else 2.0,
-    })
+    """Full-precision checkpoint: every parameter as an f32 container.
+
+    The sidecar records one linear mode and one beta for the whole model, so
+    raises ValueError when the linear layers differ in either.
+    """
+    settings = {name: (layer.mode, layer.beta) for name, layer in model.linear_layers()}
+    if len(set(settings.values())) > 1:
+        listing = ", ".join(f"{name}={mode}/beta {beta:g}"
+                            for name, (mode, beta) in settings.items())
+        raise ValueError(f"linear layers differ in mode or beta ({listing}); "
+                         "a checkpoint records one of each")
+    mode, beta = next(iter(settings.values()))
+    _write_checkpoint(path, model, "dense", model.parameters().values(),
+                      {"linear_mode": mode, "beta": beta})
 
 
 def save_ternary_checkpoint(path, model: EncoderModel) -> None:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ternkit import ann
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore,
                          build_index, default_params, evaluate_retrieval,
                          flat_search, hnsw_build, hnsw_layer0_connected,
@@ -69,6 +72,18 @@ def test_flat_ties_break_by_smaller_id():
     store = VectorStore(base)
     got = flat_search(store, np.array([1.0, 0.0], np.float32), 4)
     assert got.tolist() == [0, 2, 1, 3]
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, np.inf, np.nan]),
+                min_size=1, max_size=40),
+       st.integers(1, 40), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_rank_partial_selection_equals_full_sort(values, k, rnd):
+    dists = np.array(values)
+    ids = np.arange(dists.size) * 3
+    rnd.shuffle(ids)  # ids out of order, so ties must really be broken by id
+    want = ids[np.lexsort((ids, dists))][:k]
+    assert np.array_equal(ann._rank(ids, dists, k), want)
 
 
 def test_flat_validation():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ def test_ternarize_bad_magic_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ternarize", "--weights", str(bad),
                            "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_ternarize_forged_huge_tensor_exits_2(capsys, tmp_path):
+    # 16-byte header declaring a 60000x60000 f32 payload (14.4 GB) with none present
+    forged = tmp_path / "huge.tern"
+    forged.write_bytes(b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_F32, 2, 60000, 60000))
+    code, _, err = run_cli(capsys, "ternarize", "--weights", str(forged),
+                           "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "remain in the file" in err
 
 
 def test_ternarize_missing_file_exits_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_matrix
 from ternkit import storage
-from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY,
+from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                              PackedEncoder, replace_linears)
 from ternkit.packed import pack, storage_bytes
 from ternkit.rng import Rng
@@ -169,6 +170,36 @@ def test_vectors_truncation(tmp_path):
         storage.load_vectors(path)
 
 
+class _StrictStream(io.BytesIO):
+    """A stream that fails any read asking for more bytes than it holds."""
+
+    def read(self, n=-1):
+        assert n <= len(self.getbuffer()) - self.tell(), f"read of {n} bytes past the end"
+        return super().read(n)
+
+
+HUGE = 60000  # a 60000x60000 f32 payload would be 14.4 GB
+
+
+@pytest.mark.parametrize("raw, reader", [
+    (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_F32, 2, HUGE, HUGE), storage.read_tensor),
+    (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_U8, 2, HUGE, HUGE), storage.read_tensor),
+    (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_TRIT_PLANES, 2, HUGE, HUGE),
+     storage.read_tensor),
+    (b"TPKD" + struct.pack("<HIIfB", 1, HUGE, HUGE, 1.0, 1), storage.read_packed_layer),
+], ids=["f32", "u8", "trit-planes", "packed"])
+def test_forged_payload_size_rejected_before_reading(raw, reader):
+    with pytest.raises(TruncatedFileError, match="remain in the file"):
+        reader(_StrictStream(raw + b"\x00" * 64))
+
+
+def test_vectors_forged_count_rejected(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_bytes(struct.pack("<II", HUGE, HUGE) + b"\x00" * 64)
+    with pytest.raises(TruncatedFileError, match="remain in the file"):
+        storage.load_vectors(path)
+
+
 # -- checkpoints --------------------------------------------------------------------
 
 def test_dense_checkpoint_forward_bitwise(tmp_path):
@@ -193,6 +224,18 @@ def test_dense_checkpoint_preserves_linear_mode(tmp_path):
     assert all(l.mode == MODE_TERNARY and l.beta == 1.5
                for _, l in back.linear_layers())
     assert np.array_equal(back.forward(x), want)
+
+
+@pytest.mark.parametrize("attr, value", [("beta", 0.75), ("mode", MODE_FULL)])
+def test_dense_checkpoint_rejects_mixed_linear_layers(tmp_path, attr, value):
+    model = replace_linears(EncoderModel.init(EncoderConfig(6, 8, 6, 2, seed=2)),
+                            MODE_TERNARY, 2.0)
+    setattr(model.input_proj, attr, value)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="input_proj=") as err:
+        storage.save_checkpoint(path, model)
+    assert "blocks.0.fc1=ternary/beta 2" in str(err.value)
+    assert not path.exists()
 
 
 def test_ternary_checkpoint_loads_packed_encoder(tmp_path):
