@@ -3,9 +3,20 @@
 Four index families over a fixed vector store: exact brute-force L2, an
 inverted-file index over seeded k-means cells, random-hyperplane LSH ranked
 by Hamming distance, and a hierarchical navigable-small-world graph. All
-distances are squared L2 computed in float64 through one shared helper, so
-exhaustively-probed IVF reproduces brute force bit for bit, tie order
-included. Ties always break toward the smaller id.
+distances are squared L2 in float64, and ties always break toward the smaller
+id.
+
+Exact top-k (flat search, the scan of IVF's probed cells, and IVF's
+nearest-centroid assignment) runs in two steps. A screen takes approximate
+distances ||v||^2 - 2 v.q + ||q||^2 from one GEMV (a GEMM for assignment)
+against the float64 rows and squared norms the store caches at construction,
+widens each by a rigorous bound on its rounding error, and keeps every id
+whose lower end is at or below the k-th smallest upper end. The survivors are
+re-ranked with the row-wise reference formula `_sq_dists`, which gives each
+row the same value whichever rows it is computed with. So the ids, their order
+and the tie order equal those of the unscreened computation bit for bit, and
+exhaustively-probed IVF reproduces brute force, tie order included.
+Non-finite stores and queries skip the screen.
 
 Embeddings are L2-normalized before indexing in the evaluation harness, so
 L2 ranking coincides with cosine ranking.
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +38,23 @@ INDEX_KINDS = ("flat", "ivf", "lsh", "hnsw")
 
 @dataclass(eq=False)
 class VectorStore:
-    """Vectors with implicit stable ids 0..N-1."""
+    """Vectors with implicit stable ids 0..N-1.
+
+    The float64 rows, their squared norms and whether every entry is finite
+    are computed once here, so `vectors` must not change afterwards."""
 
     vectors: np.ndarray
+    vectors64: np.ndarray = field(init=False, repr=False)
+    sq_norms: np.ndarray = field(init=False, repr=False)
+    finite: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=FLOAT)
         if self.vectors.ndim != 2 or self.vectors.shape[0] < 1 or self.vectors.shape[1] < 1:
             raise ValueError(f"vectors must be a non-empty 2-D array, got {self.vectors.shape}")
+        self.vectors64 = self.vectors.astype(np.float64)
+        self.sq_norms = np.einsum("ij,ij->i", self.vectors64, self.vectors64)
+        self.finite = bool(np.isfinite(self.vectors).all())
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -46,8 +66,59 @@ class VectorStore:
 
 def _sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared L2 distances, float64. Row-wise, so subsets reproduce exactly."""
-    diff = vectors.astype(np.float64) - query.astype(np.float64)
+    diff = np.asarray(vectors, dtype=np.float64) - np.asarray(query, dtype=np.float64)
     return (diff * diff).sum(axis=1)
+
+
+# The screen's bound. Take u = 2^-53, gamma_n = n*u / (1 - n*u), the model
+# fl(x op y) = (x op y)(1 + delta) with |delta| <= u, D = ||v - q||^2 exact and
+# S = (||v|| + ||q||)^2 >= D.
+# - `_sq_dists` gives R: each of the d terms carries (1+delta)^3 from the
+#   subtraction and the square, and summing d nonnegative terms in any order
+#   adds gamma_{d-1}, so |R - D| <= gamma_{d+2} * D.
+# - The screen gives A = fl(fl(N - 2g) + nq) from N = fl(||v||^2),
+#   g = fl(v.q) and nq = fl(||q||^2). Each is a d-term dot product, off by at
+#   most gamma_d * sum_j |x_j y_j| in any summation order, with or without FMA,
+#   and sum_j |v_j q_j| <= ||v|| ||q||; 2g is exact. The pieces are thus off by
+#   gamma_d * S together, and each of the two additions adds u times a
+#   magnitude of at most (1 + gamma_d) * S, so |A - D| <= gamma_{d+2} * S.
+# Hence |R - A| <= 2 gamma_{d+2} S, which is below 2.0001 (d+2) u S for any d
+# an array can have. The slack 4 (d+2) u S is twice that; the spare half
+# covers the rounding of S, of the slack and of A -/+ slack, each a few u * S.
+# Products that underflow lose at most 2^-1075 each, and there are at most
+# 5d of them; _TINY covers that. Rows and queries are float32 values (or,
+# for centroids, their means), so nothing overflows.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = 2.0 ** -1000
+
+
+def _sq_dist_bounds(sq_norms, dots, q_sq_norms, dim: int):
+    """(lo, hi) with lo <= `_sq_dists` <= hi for every pair, from squared
+    norms and dot products; broadcasts, so it serves a GEMV or a GEMM."""
+    approx = sq_norms - 2.0 * dots + q_sq_norms
+    slack = 4.0 * (dim + 2) * _UNIT_ROUNDOFF * (np.sqrt(sq_norms) + np.sqrt(q_sq_norms)) ** 2
+    slack += _TINY
+    return approx - slack, approx + slack
+
+
+def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
+                 ids: np.ndarray | None = None) -> np.ndarray:
+    """Top k of `ids` (default: every id) by (`_sq_dists`, id).
+
+    The screen keeps every id that can reach the top k or tie at the k-th
+    place, and the re-rank computes exactly what the unscreened ranking
+    would, so the result is the same, ties included."""
+    rows, sq_norms = store.vectors64, store.sq_norms
+    if ids is None:
+        ids = np.arange(len(store))
+    else:
+        rows, sq_norms = rows[ids], sq_norms[ids]
+    if len(ids) > k and store.finite and np.isfinite(query).all():
+        q = query.astype(np.float64)
+        lo, hi = _sq_dist_bounds(sq_norms, rows @ q, q @ q, store.dim)
+        keep = lo <= np.partition(hi, k - 1)[k - 1]
+        ids, rows = ids[keep], rows[keep]
+    return _rank(ids, _sq_dists(rows, query), k)
 
 
 def _check_query(query: np.ndarray, dim: int) -> np.ndarray:
@@ -76,8 +147,7 @@ def flat_search(store: VectorStore, query: np.ndarray, k: int) -> np.ndarray:
     query = _check_query(query, store.dim)
     if not 1 <= k <= len(store):
         raise ValueError(f"k must be in [1, {len(store)}], got {k}")
-    dists = _sq_dists(store.vectors, query)
-    return _rank(np.arange(len(store)), dists, k)
+    return _exact_top_k(store, query, k)
 
 
 # -- IVF-Flat -----------------------------------------------------------------
@@ -110,38 +180,47 @@ class IvfIndex:
         return ivf_search(self, query, k)
 
 
-def _kmeans(vectors: np.ndarray, nlist: int, iters: int, seed: int) -> np.ndarray:
+def _kmeans(store: VectorStore, nlist: int, iters: int, seed: int) -> np.ndarray:
     """Seeded Lloyd iterations; empty cells re-seed to the farthest point."""
     rng = Rng(seed)
-    centroids = vectors[np.sort(rng.permutation(len(vectors))[:nlist])].astype(np.float64)
+    rows = store.vectors64
+    centroids = rows[np.sort(rng.permutation(len(rows))[:nlist])]
     for _ in range(iters):
-        assign = _assign(vectors, centroids)
+        assign = _assign(store, centroids)
         counts = np.bincount(assign, minlength=nlist)
         sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, vectors.astype(np.float64))
+        np.add.at(sums, assign, rows)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         for cell in np.flatnonzero(~nonempty):
             # steal the point farthest from its own centroid
-            far = int(np.argmax(_residuals(vectors, centroids, assign)))
-            centroids[cell] = vectors[far].astype(np.float64)
+            far = int(np.argmax(_sq_dists(rows, centroids[assign])))
+            centroids[cell] = rows[far]
             assign[far] = cell
     return centroids
 
 
-def _residuals(vectors: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    diff = vectors.astype(np.float64) - centroids[assign]
-    return (diff * diff).sum(axis=1)
+def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid assignment, ties to the lowest cell id.
 
-
-def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid assignment, ties to the lowest cell id."""
-    n = len(vectors)
+    The screen of `_exact_top_k` with k = 1, one GEMM per block of points;
+    only the surviving (point, cell) pairs get exact distances. Centroids
+    are rows or means of rows, so they are finite when the store is."""
+    n, nlist = len(store), len(centroids)
+    c_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
     assign = np.empty(n, dtype=np.int64)
-    step = max(1, 2_000_000 // max(1, len(centroids) * vectors.shape[1]))
+    step = max(1, 2_000_000 // (nlist * store.dim))
     for start in range(0, n, step):
-        chunk = vectors[start:start + step].astype(np.float64)
-        d = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        rows = store.vectors64[start:start + step]
+        if store.finite:
+            lo, hi = _sq_dist_bounds(store.sq_norms[start:start + step, None],
+                                     rows @ centroids.T, c_sq_norms, store.dim)
+            keep = lo <= hi.min(axis=1, keepdims=True)
+        else:
+            keep = np.ones((len(rows), nlist), dtype=bool)
+        point, cell = np.nonzero(keep)
+        d = np.full(keep.shape, np.inf)
+        d[point, cell] = _sq_dists(rows[point], centroids[cell])
         assign[start:start + step] = np.argmin(d, axis=1)
     return assign
 
@@ -149,8 +228,8 @@ def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def ivf_build(store: VectorStore, params: IvfParams) -> IvfIndex:
     if params.nlist > len(store):
         raise ValueError(f"nlist {params.nlist} exceeds store size {len(store)}")
-    centroids = _kmeans(store.vectors, params.nlist, params.kmeans_iters, params.seed)
-    assign = _assign(store.vectors, centroids)
+    centroids = _kmeans(store, params.nlist, params.kmeans_iters, params.seed)
+    assign = _assign(store, centroids)
     lists = [np.flatnonzero(assign == c) for c in range(params.nlist)]
     return IvfIndex(store, params, centroids.astype(FLOAT), lists)
 
@@ -169,8 +248,7 @@ def ivf_search(index: IvfIndex, query: np.ndarray, k: int) -> np.ndarray:
     cand = np.concatenate([index.lists[c] for c in probe]) if len(probe) else np.empty(0, int)
     if cand.size == 0:
         return cand
-    dists = _sq_dists(index.store.vectors[cand], query)
-    return _rank(cand, dists, k)
+    return _exact_top_k(index.store, query, k, cand)
 
 
 # -- LSH ----------------------------------------------------------------------
@@ -253,7 +331,7 @@ class HnswIndex:
     def __init__(self, store: VectorStore, params: HnswParams):
         self.store = store
         self.params = params
-        self._vecs = store.vectors.astype(np.float64)
+        self._vecs = store.vectors64
         self.levels: list[int] = []
         self.neighbors: list[list[list[int]]] = []
         self.entry = -1
@@ -386,34 +464,6 @@ def hnsw_search(index: HnswIndex, query: np.ndarray, k: int) -> np.ndarray:
     return np.array([n for _, n in found[:k]], dtype=np.int64)
 
 
-def hnsw_level_bounds_ok(index: HnswIndex) -> bool:
-    """Every link stays within both endpoints' level range, no self loops."""
-    for i, layers in enumerate(index.neighbors):
-        if len(layers) != index.levels[i] + 1:
-            return False
-        for lc, ids in enumerate(layers):
-            for n in ids:
-                if n == i or index.levels[n] < lc:
-                    return False
-    return True
-
-
-def hnsw_layer0_connected(index: HnswIndex) -> bool:
-    """Every node is reachable from the entry point along layer-0 links."""
-    n = len(index.neighbors)
-    if n <= 1:
-        return True
-    seen = {index.entry}
-    stack = [index.entry]
-    while stack:
-        node = stack.pop()
-        for nb in index.neighbors[node][0]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
-
-
 # -- metrics ------------------------------------------------------------------
 
 def precision_at_k(retrieved, relevant: set, k: int) -> float:
@@ -436,6 +486,8 @@ def recall_at_k(retrieved, relevant: set, k: int) -> float:
 
 def recall_vs_exact(approx_ids, exact_ids, k: int) -> float:
     """Overlap between an approximate top-k and the exact top-k, over k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     return len(set(list(approx_ids)[:k]) & set(list(exact_ids)[:k])) / k
 
 

@@ -22,3 +22,31 @@ def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
     return float(np.abs(got - want).max() / (1.0 + np.abs(want).max()))
+
+
+def hnsw_level_bounds_ok(index) -> bool:
+    """Every link stays within both endpoints' level range, no self loops."""
+    for i, layers in enumerate(index.neighbors):
+        if len(layers) != index.levels[i] + 1:
+            return False
+        for lc, ids in enumerate(layers):
+            for n in ids:
+                if n == i or index.levels[n] < lc:
+                    return False
+    return True
+
+
+def hnsw_layer0_connected(index) -> bool:
+    """Every node is reachable from the entry point along layer-0 links."""
+    n = len(index.neighbors)
+    if n <= 1:
+        return True
+    seen = {index.entry}
+    stack = [index.entry]
+    while stack:
+        node = stack.pop()
+        for nb in index.neighbors[node][0]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == n

@@ -15,12 +15,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, random_matrix
+from conftest import hnsw_layer0_connected, max_rel_err, random_matrix
 from test_encoder import finite_difference_grads
 from ternkit import storage
 from ternkit.ann import (HnswParams, IvfParams, VectorStore, evaluate_retrieval,
-                         flat_search, hnsw_build, hnsw_layer0_connected,
-                         hnsw_search, ivf_build, ivf_search, recall_vs_exact)
+                         flat_search, hnsw_build, hnsw_search, ivf_build,
+                         ivf_search, recall_vs_exact)
 from ternkit.cli import main as cli_main
 from ternkit.distill import (TaskSpec, TrainConfig, distill, holdout_split,
                              make_synthetic_teacher, mse_loss,

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hnsw_layer0_connected, hnsw_level_bounds_ok
 from ternkit import ann
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore,
                          build_index, default_params, evaluate_retrieval,
-                         flat_search, hnsw_build, hnsw_layer0_connected,
-                         hnsw_level_bounds_ok, hnsw_search, ivf_build,
+                         flat_search, hnsw_build, hnsw_search, ivf_build,
                          ivf_search, lsh_build, lsh_search, precision_at_k,
                          recall_at_k, recall_vs_exact)
 from ternkit.rng import Rng
@@ -84,6 +84,109 @@ def test_rank_partial_selection_equals_full_sort(values, k, rnd):
     rnd.shuffle(ids)  # ids out of order, so ties must really be broken by id
     want = ids[np.lexsort((ids, dists))][:k]
     assert np.array_equal(ann._rank(ids, dists, k), want)
+
+
+@st.composite
+def adversarial_store(draw):
+    """Float32 rows of one of three kinds: a small integer grid (exact ties),
+    random rows at scales from 1e-20 to 1e20, or a cloud of rows a few ulps
+    around one row (distances far below the rounding error of the GEMV
+    screen). Then some rows become duplicates of another row, 1 ulp from
+    another row, or zero."""
+    n, d = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniforms_open(n * d).reshape(n, d)
+    kind = draw(st.sampled_from(["grid", "scaled", "cloud"]))
+    if kind == "grid":
+        vecs = np.floor(7.0 * u) - 3.0
+    elif kind == "scaled":
+        exps = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+        vecs = (2.0 * u - 1.0) * 10.0 ** exps[:, None]
+    else:
+        center = ((2.0 * u[0] - 1.0) * 10.0 ** draw(st.integers(-20, 20))).astype(np.float32)
+        vecs = center + np.floor(5.0 * u - 2.0) * np.spacing(center)
+    vecs = vecs.astype(np.float32)
+    for i in range(n):
+        j, op = draw(st.integers(0, n - 1)), draw(st.sampled_from(["keep", "dup", "ulp", "zero"]))
+        if op == "dup":
+            vecs[i] = vecs[j]
+        elif op == "ulp":
+            vecs[i] = np.nextafter(vecs[j], np.float32(np.inf))
+        elif op == "zero":
+            vecs[i] = 0.0
+    return vecs
+
+
+@st.composite
+def adversarial_case(draw):
+    vecs = draw(adversarial_store())
+    n, d = vecs.shape
+    j = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["zero", "row", "ulp", "scaled"]))
+    if kind == "zero":
+        q = np.zeros(d, np.float32)
+    elif kind == "row":
+        q = vecs[j].copy()
+    elif kind == "ulp":
+        q = np.nextafter(vecs[j], np.float32(-np.inf))
+    else:
+        q = vecs[j] * np.float32(draw(st.sampled_from([1e-20, 1e-3, 0.5, 7.0, 1e20])))
+    return vecs, q, draw(st.integers(1, n))
+
+
+def reference_top_k(vecs, q, k):
+    """The unscreened ranking: every distance by the reference formula."""
+    return ann._rank(np.arange(len(vecs)), ann._sq_dists(vecs, q), k)
+
+
+def brute_force_assign(vecs, centroids):
+    """Every point-centroid distance, then argmin (ties to the lowest cell)."""
+    v64 = vecs.astype(np.float64)
+    return np.argmin(((v64[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+@given(adversarial_case(), st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_screened_search_equals_unscreened_reference(case, nlist):
+    vecs, q, k = case
+    store = VectorStore(vecs)
+    want = reference_top_k(vecs, q, k)
+    assert np.array_equal(flat_search(store, q, k), want)
+    nlist = min(nlist, len(vecs))
+    index = ivf_build(store, IvfParams(nlist=nlist, nprobe=nlist, seed=1))
+    assert np.array_equal(ivf_search(index, q, k), want)
+
+
+@given(adversarial_store(), st.integers(-1, 23), st.sampled_from([np.inf, -np.inf, np.nan]))
+@settings(max_examples=100, deadline=None)
+def test_non_finite_query_or_row_gives_reference(vecs, row, bad):
+    q = vecs[0].copy()
+    if row < 0:
+        q[0] = bad
+    else:
+        vecs[row % len(vecs), 0] = bad
+    store = VectorStore(vecs)
+    with np.errstate(invalid="ignore"):
+        for k in {1, len(vecs) // 2 + 1, len(vecs)}:
+            assert np.array_equal(flat_search(store, q, k), reference_top_k(vecs, q, k))
+        centroids = vecs[:3].astype(np.float64)
+        assert np.array_equal(ann._assign(store, centroids), brute_force_assign(vecs, centroids))
+    if row < 0:
+        index = ivf_build(store, IvfParams(nlist=1, nprobe=1))
+        assert np.array_equal(ivf_search(index, q, len(vecs)), reference_top_k(vecs, q, len(vecs)))
+
+
+@given(adversarial_store(), st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_screened_assign_equals_brute_force_argmin(vecs, picks, mirror):
+    v64 = vecs.astype(np.float64)
+    centroids = v64[[p % len(vecs) for p in picks]]
+    if mirror:
+        # reflect every centroid through a stored point: equidistant from it
+        centroids = np.concatenate([centroids, 2.0 * v64[picks[0] % len(vecs)] - centroids])
+    assert np.array_equal(ann._assign(VectorStore(vecs), centroids),
+                          brute_force_assign(vecs, centroids))
 
 
 def test_flat_validation():
@@ -285,6 +388,9 @@ def test_metrics_reject_bad_k():
         precision_at_k([1, 2], {1}, 3)
     with pytest.raises(ValueError):
         recall_at_k([1, 2], {1}, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            recall_vs_exact([1, 2], [1, 2], k)
 
 
 # -- harness --------------------------------------------------------------------

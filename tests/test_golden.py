@@ -1,18 +1,23 @@
-"""Golden guard: checkpoint bytes, sidecars, model digests and packed kernel
-outputs are pinned.
+"""Golden guard: checkpoint bytes, sidecars, model digests, packed kernel
+outputs and the indexes and top-k results of every retrieval path are pinned.
 
 The weights and inputs come from ``Rng.uniforms_open``, whose draws are
 bit-portable (normal variates are only stable per platform), so these hashes
-hold on any platform. A change to either checkpoint writer, the sidecar
-layout, the parameter walk or the rounding of the packed kernel shows up here
-as a hash mismatch.
+hold on any platform; the exception is the LSH hyperplanes, which
+``lsh_build`` draws as normals. A change to either checkpoint writer, the
+sidecar layout, the parameter walk, the rounding of the packed kernel, or the
+ids and tie order an index returns shows up here as a hash mismatch.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
 from ternkit import storage
+from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_search,
+                         hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
+                         lsh_search)
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, model_digest,
                              replace_linears)
 from ternkit.packed import pack, packed_gemm, packed_gemv
@@ -109,3 +114,48 @@ def _kernel_digest(t: TernaryMatrix, seed: int) -> str:
 def test_golden_kernel_outputs():
     got = {name: _kernel_digest(t, 7) for name, t in _kernel_layers().items()}
     assert got == KERNEL
+
+
+# -- retrieval -------------------------------------------------------------------
+
+RETRIEVAL = {
+    "ivf.centroids": "01a964d45fa296850d7d36c3540c400028ae6a6b0271c078c1ca23588fd593a4",
+    "ivf.lists": "88515be345319d3624216955ea39b12bcc101bd151d9e4c48bbe13a7e1ec7ecd",
+    "hnsw.levels": "fed70018244b44bc83a7b6865cb48ef7e76777d12f7fd4857663e9fb7b55df50",
+    "hnsw.neighbors": "7f7d439899d6cfce96bc1993945fd612893a724e0a13e7cb47f8ff4fd19ecb02",
+    "lsh.codes": "43f4694abdf462b1b1bf0e804f67a59f270b99bcfa9d0fc6db7b4f7c41191aef",
+    "flat.top10": "2692b4fe775be87c4006c80a9afc9f9d19c0a4f9c326cd5fec35f0823cf7e66a",
+    "ivf.top10": "1c12f42a8c7ec328269533f01586951f0317549defff04ec0c0cd54a5466b177",
+    "lsh.top10": "28dde69bd9fbdd61604efb0c8f8f93cccf4afbc2a7dc27246a2064df029886d7",
+    "hnsw.top10": "aa9528b4bd9d75b6d30f0df6a46de371d7da4abb33d81f625d20fc0a6b42a1b2",
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_golden_retrieval():
+    rng = Rng(4242)
+    vecs = _uniform(rng, 500, 16)
+    vecs[100:110] = vecs[:10]  # duplicate rows, so ties decide the order
+    store = VectorStore(vecs)
+    queries = np.concatenate([_uniform(rng, 24, 16), vecs[[0, 5, 100, 499]]])
+    ivf = ivf_build(store, IvfParams(nlist=20, nprobe=4, seed=3))
+    lsh = lsh_build(store, LshParams(nbits=48, seed=4))
+    hnsw = hnsw_build(store, HnswParams(M=6, ef_construction=40, ef_search=24, seed=5))
+    top = {"flat": lambda q: flat_search(store, q, 10), "ivf": lambda q: ivf_search(ivf, q, 10),
+           "lsh": lambda q: lsh_search(lsh, q, 10), "hnsw": lambda q: hnsw_search(hnsw, q, 10)}
+    got = {
+        "ivf.centroids": _digest(ivf.centroids.astype("<f4")),
+        "ivf.lists": _digest(*(ids.astype("<i8") for ids in ivf.lists)),
+        "hnsw.levels": _digest(np.array(hnsw.levels, "<i8")),
+        "hnsw.neighbors": hashlib.sha256(json.dumps(hnsw.neighbors).encode()).hexdigest(),
+        "lsh.codes": _digest(lsh.codes),
+        **{f"{kind}.top10": _digest(*(np.asarray(search(q), "<i8") for q in queries))
+           for kind, search in top.items()},
+    }
+    assert got == RETRIEVAL
