@@ -174,6 +174,10 @@ def cmd_eval_retrieval(args) -> int:
     labels_arr = storage.load_tensor(args.labels)
     if not isinstance(labels_arr, np.ndarray) or labels_arr.ndim != 1:
         raise storage.IntegrityError("labels file must hold a rank-1 tensor")
+    if labels_arr.dtype.kind == "f" and not np.all(
+            np.isfinite(labels_arr) & (np.trunc(labels_arr) == labels_arr)
+            & (np.abs(labels_arr) < 2.0 ** 63)):
+        raise storage.IntegrityError("labels must be finite integers within int64 range")
     labels = labels_arr.astype(np.int64)
     if labels.shape[0] != data.shape[0]:
         raise storage.IntegrityError("labels length must match dataset rows")

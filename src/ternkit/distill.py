@@ -7,6 +7,13 @@ with a step learning-rate schedule: lr(epoch) = lr_initial *
 lr_factor ** floor(epoch / lr_step_epochs). All parameters train (norms and
 biases included); only linear weights go through the straight-through path.
 
+The teacher is frozen, so ``distill`` computes its targets once per call, in
+batch-size chunks, not once per batch of every epoch. Training moves a
+model's parameters into one contiguous buffer, so afterwards each parameter
+is a view of it, and each Adam step runs over the whole buffer. Neither
+changes a trajectory: losses, batch logs and trained weights are the same,
+bit for bit.
+
 Also provides the synthetic cluster-embedding task used as the desk-scale
 benchmark: K Gaussian prototypes in input space, unit-norm code vectors in
 output space, and a briefly fitted full-precision teacher whose embeddings
@@ -146,9 +153,13 @@ def distill(teacher: EncoderModel, student: EncoderModel, data: np.ndarray,
             config: TrainConfig) -> DistillResult:
     """Fit the student to the teacher's outputs over the given vectors.
 
-    Per batch: teacher forward (no gradients) -> target, student forward ->
-    prediction, MSE, student backward, Adam step at the epoch's scheduled
-    rate. Batch order reshuffles each epoch from the run seed, so the whole
+    The teacher is frozen, so its outputs (the targets) are computed once,
+    in batch-size chunks of the data. Every step of the forward pass treats
+    rows independently, so a row's target equals what a forward pass over
+    the shuffled batch gives it (the golden trajectories check this).
+    Per batch: student forward -> prediction, MSE against the batch's
+    targets, student backward, Adam step at the epoch's scheduled rate.
+    Batch order reshuffles each epoch from the run seed, so the whole
     trajectory is reproducible.
     """
     data = tensor.as_matrix(data, "data")
@@ -156,20 +167,26 @@ def distill(teacher: EncoderModel, student: EncoderModel, data: np.ndarray,
         raise ValueError("teacher and student architectures differ")
     if data.shape[1] != teacher.config.input_dim:
         raise ValueError(f"data width {data.shape[1]} != input_dim {teacher.config.input_dim}")
-    batch_log, epoch_losses = _train(student, data, lambda _, xb: teacher.forward(xb),
-                                     config)
+    step = config.batch_size
+    targets = np.concatenate([teacher.forward(data[i:i + step])
+                              for i in range(0, data.shape[0], step)])
+    batch_log, epoch_losses = _train(student, data, targets, config)
     return DistillResult(student, batch_log, epoch_losses)
 
 
-def _train(model: EncoderModel, data: np.ndarray, targets,
+def _train(model: EncoderModel, data: np.ndarray, targets: np.ndarray,
            config: TrainConfig) -> tuple[list[LossRecord], list[float]]:
-    """Fit model(batch) to targets(batch indices, batch) by MSE and scheduled Adam.
+    """Fit model(data rows) to the same rows of targets by MSE and scheduled Adam.
 
-    Returns the per-batch loss log and the mean loss of each epoch.
+    The model's parameters move into one buffer (``flat_parameters``), so
+    each Adam step is one set of whole-buffer operations; the per-element
+    arithmetic is that of separate arrays. Returns the per-batch loss log
+    and the mean loss of each epoch.
     """
     n = data.shape[0]
     rng = Rng(config.seed)
-    params = model.parameters()
+    params = {"all": model.flat_parameters()}
+    grads = {"all": np.empty_like(params["all"])}
     state = AdamState.initialize(params, config.adam_beta1, config.adam_beta2,
                                  config.adam_eps)
     batch_log: list[LossRecord] = []
@@ -180,12 +197,12 @@ def _train(model: EncoderModel, data: np.ndarray, targets,
         losses = []
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start:start + config.batch_size]
-            xb = data[idx]
-            target = targets(idx, xb)
-            loss, dpred = mse_loss(model.forward(xb), target)
+            loss, dpred = mse_loss(model.forward(data[idx]), targets[idx])
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} batch {b}")
-            adam_step(state, params, model.backward(dpred), lr)
+            np.concatenate(list(model.backward(dpred).values()), axis=None,
+                           out=grads["all"])
+            adam_step(state, params, grads, lr)
             batch_log.append(LossRecord(epoch, b, loss, lr))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
@@ -255,5 +272,5 @@ def make_synthetic_teacher(config: EncoderConfig,
     # lr_factor 1 holds the rate at teacher_lr for every epoch
     fit = TrainConfig(epochs=spec.teacher_epochs, lr_initial=spec.teacher_lr, lr_factor=1.0,
                       batch_size=spec.teacher_batch_size, seed=spec.seed + 1)
-    _train(teacher, task.inputs, lambda idx, _: targets[idx], fit)
+    _train(teacher, task.inputs, targets, fit)
     return teacher, task

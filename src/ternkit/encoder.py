@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor
 from .packed import PackedTernaryMatrix, pack, packed_gemm
 from .rng import Rng
-from .ternary import DEFAULT_BETA, compute_threshold, ternarize
+from .ternary import DEFAULT_BETA, compute_threshold, ternarize, ternary_dense
 
 MODE_FULL = "full_precision"
 MODE_TERNARY = "ternary"
@@ -109,8 +109,7 @@ class LinearLayer:
         """Weight the forward pass applies, plus gamma in ternary mode."""
         if self.mode == MODE_FULL:
             return self.weight, None
-        t = ternarize(self.weight, compute_threshold(self.weight, self.beta))
-        return t.dense(), t.gamma  # gamma as rounded to the stored precision
+        return ternary_dense(self.weight, self.beta)  # gamma rounded to float32
 
     def ternary_export(self, bias: bool = True) -> PackedTernaryMatrix:
         gamma = compute_threshold(self.weight, self.beta)
@@ -150,17 +149,18 @@ class ResidualBlock:
     def forward(self, h: np.ndarray) -> np.ndarray:
         u, ln_cache = tensor.layer_norm_with_cache(h, self.ln_gain, self.ln_shift)
         a1 = self.fc1.forward(u)
-        z = tensor.gelu(a1)
-        a2 = self.fc2.forward(z)
-        self._cache = (ln_cache, a1)
-        return h + a2
+        z, cdf = tensor.gelu_with_cache(a1)
+        # the float32 derivative takes a1's place in the cache, so erf runs
+        # once per step and the cache grows by nothing
+        self._cache = (ln_cache, tensor.gelu_grad(a1, cdf))
+        return h + self.fc2.forward(z)
 
     def backward(self, dh_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        ln_cache, a1 = self._cache
+        ln_cache, dgelu = self._cache
         dz = self.fc2.backward(dh_out)
-        da1 = dz * tensor.gelu_grad(a1)
+        da1 = dz * dgelu
         du = self.fc1.backward(da1)
 
         normed, inv_std = ln_cache
@@ -237,6 +237,23 @@ class EncoderModel:
     def parameters(self) -> dict[str, np.ndarray]:
         """Ordered name -> live array mapping (optimizers update in place)."""
         return {key: getattr(part, attr) for key, part, attr, _ in self._slots}
+
+    def flat_parameters(self) -> np.ndarray:
+        """Move every parameter into one contiguous buffer; returns the buffer.
+
+        Each parameter attribute is rebound to a view of the buffer, in
+        parameters() order, so an in-place update of the buffer is an update
+        of the model. Values are copied, never shared with the old arrays.
+        """
+        arrays = list(self.parameters().values())
+        if len({a.dtype for a in arrays}) != 1:
+            raise ValueError("parameters of mixed dtypes cannot share one buffer")
+        flat = np.concatenate(arrays, axis=None)
+        offset = 0
+        for (_, part, attr, _), arr in zip(self._slots, arrays):
+            setattr(part, attr, flat[offset:offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+        return flat
 
     def gradients(self) -> dict[str, np.ndarray]:
         grads = {key: getattr(part, grad) for key, part, _, grad in self._slots}

@@ -68,11 +68,22 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return (0.5 * x64 * (1.0 + erf(x64 * _INV_SQRT2))).astype(x.dtype)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of gelu: Phi(x) + x * phi(x)."""
+def gelu_with_cache(x: np.ndarray):
+    """gelu plus the float64 Phi(x) that gelu_grad takes.
+
+    x * Phi(x) here and 0.5 * x * (1 + erf) in gelu round the same exact
+    product (both scalings by 0.5 are exact), so the outputs are identical.
+    """
     x = np.asarray(x)
     x64 = x.astype(np.float64)
     cdf = 0.5 * (1.0 + erf(x64 * _INV_SQRT2))
+    return (x64 * cdf).astype(x.dtype), cdf
+
+
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of gelu: Phi(x) + x * phi(x), with Phi(x) from gelu_with_cache."""
+    x = np.asarray(x)
+    x64 = x.astype(np.float64)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x64 * x64)
     return (cdf + x64 * pdf).astype(x.dtype)
 

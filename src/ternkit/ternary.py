@@ -16,6 +16,7 @@ assumption. Default beta is 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,33 @@ class TernaryMatrix:
 
 def compute_threshold(w: np.ndarray, beta: float) -> float:
     """gamma = (beta / (rows*cols)) * sum |W|, accumulated in float64."""
-    w = as_matrix(w, "weights")
+    return _threshold(as_matrix(w, "weights"), beta)
+
+
+def _threshold(w: np.ndarray, beta: float) -> float:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     total = np.abs(w, dtype=np.float64).sum()
     return float(beta) * float(total) / w.size
+
+
+def ternary_dense(w: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """gamma * f(W | gamma) as float32, and gamma rounded to float32, in one pass.
+
+    Equal to ``ternarize(w, compute_threshold(w, beta)).dense()`` and its
+    gamma, without the int8 trit matrix or a separate finiteness scan: a
+    non-finite weight makes the float64 sum, and so gamma, non-finite
+    (finite float32 magnitudes cannot overflow it), and raises ValueError.
+    """
+    w = np.asarray(w, dtype=FLOAT)
+    gamma = _threshold(w, beta)
+    if not math.isfinite(gamma):
+        raise ValueError("weights contains non-finite entries")
+    g = FLOAT(gamma)
+    dense = (w > gamma).astype(FLOAT)  # the trits as float32, then times gamma,
+    dense -= w < -gamma                # which is TernaryMatrix.dense()'s product
+    dense *= g
+    return dense, float(g)
 
 
 def ternarize(w: np.ndarray, gamma: float) -> TernaryMatrix:

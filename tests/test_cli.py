@@ -223,6 +223,20 @@ def test_eval_retrieval_k_beyond_corpus_exits_2(capsys, tmp_path, task_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, 2.5, np.inf], ids=["nan", "fraction", "inf"])
+def test_eval_retrieval_rejects_labels_that_are_not_ids(capsys, tmp_path, task_files, bad):
+    teacher, data, labels = task_files
+    arr = storage.load_tensor(labels)
+    arr[7] = bad
+    forged = tmp_path / "forged-labels.tern"
+    storage.save_tensor(forged, arr)
+    code, _, err = run_cli(capsys, "eval-retrieval", "--model", str(teacher),
+                           "--dataset", str(data), "--labels", str(forged),
+                           "--index", "flat", "--k", "1")
+    assert code == 2, err
+    assert "labels" in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta: meta.pop("sha256"),
     lambda meta: meta["entries"][0].update(name="renamed"),

@@ -213,3 +213,33 @@ def test_task_spec_rejects_degenerate_clusters():
         TaskSpec(num_clusters=1, num_points=10)
     with pytest.raises(ValueError):
         TaskSpec(num_clusters=4, num_points=2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_distill_rejects_non_finite_student_weight(bad):
+    teacher, task = small_setup()
+    student = replace_linears(teacher.clone(), MODE_TERNARY, 2.0)
+    student.blocks[1].fc2.weight[0, 5] = bad
+    with pytest.raises(ValueError):
+        distill(teacher, student, task.inputs, TrainConfig(epochs=1))
+
+
+def test_distilling_a_clone_leaves_the_original_untouched():
+    teacher, task = small_setup()
+    student = replace_linears(teacher.clone(), MODE_TERNARY, 2.0)
+    untrained = model_digest(student)
+    distill(teacher, student, task.inputs, TrainConfig(epochs=1, seed=2))
+    trained = model_digest(student)
+    assert trained != untrained
+    # parameters() hands back the arrays Adam updated: a model rebuilt from
+    # copies of them computes what the trained student computes
+    rebuilt = EncoderModel.from_arrays(
+        student.config, {k: v.copy() for k, v in student.parameters().items()},
+        MODE_TERNARY, 2.0)
+    assert np.array_equal(rebuilt.forward(task.inputs), student.forward(task.inputs))
+    assert len({id(v.base) for v in student.parameters().values()}) == 1
+
+    twin = student.clone()
+    distill(teacher, twin, task.inputs, TrainConfig(epochs=1, seed=3))
+    assert model_digest(twin) != trained
+    assert model_digest(student) == trained

@@ -193,3 +193,12 @@ def test_model_digest_tracks_weight_changes():
     assert d1 == model_digest(model)
     model.input_proj.weight[0, 0] += 1.0
     assert model_digest(model) != d1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_ternary_forward_rejects_non_finite_weight(bad):
+    layer = LinearLayer(random_matrix(Rng(8), 5, 4), np.zeros(5, np.float32),
+                        mode=MODE_TERNARY)
+    layer.weight[3, 1] = bad
+    with pytest.raises(ValueError):
+        layer.forward(np.ones((2, 4), np.float32))

@@ -1,11 +1,14 @@
 """Golden guard: checkpoint bytes, sidecars, model digests, packed kernel
-outputs and the indexes and top-k results of every retrieval path are pinned.
+outputs, distillation trajectories and the indexes and top-k results of every
+retrieval path are pinned.
 
 The weights and inputs come from ``Rng.uniforms_open``, whose draws are
 bit-portable (normal variates are only stable per platform), so these hashes
-hold on any platform; the exception is the LSH hyperplanes, which
-``lsh_build`` draws as normals. A change to either checkpoint writer, the
-sidecar layout, the parameter walk, the rounding of the packed kernel, or the
+hold on any platform; the exceptions are the LSH hyperplanes, which
+``lsh_build`` draws as normals, and the distillation trajectories, which hold
+wherever BLAS and libm float64 results round to the same float32 values. A
+change to either checkpoint writer, the sidecar layout, the parameter walk,
+the rounding of the packed kernel, the arithmetic of a training step, or the
 ids and tie order an index returns shows up here as a hash mismatch.
 """
 
@@ -18,6 +21,7 @@ from ternkit import storage
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_search,
                          hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
                          lsh_search)
+from ternkit.distill import TrainConfig, _train, distill
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, model_digest,
                              replace_linears)
 from ternkit.packed import pack, packed_gemm, packed_gemv
@@ -159,3 +163,53 @@ def test_golden_retrieval():
            for kind, search in top.items()},
     }
     assert got == RETRIEVAL
+
+
+# -- distillation ----------------------------------------------------------------
+
+DISTILL = {
+    "distill-beta2.0": (
+        [104.62434198997714, 103.38418193028505, 103.51008247089526],
+        "a5abdcd816d006a4be272b467a43ed41d4ab57a1c72a727965f828450110edf5",
+        "2e0ab2d2a31cf07b6884806758d179ba86dc460cee242574ce0abe5997d252bd"),
+    "distill-beta0.75": (
+        [77.80750423182657, 74.57078532269006, 71.40126048520914],
+        "3610391211321c7a1a35ec8c3d8255674a3fc5e4cdbdf2dc6105d0362cb2b3c3",
+        "f343230ffe506e8ab4fbeec28175114d1eca8d2647a322abafe761aff45bb3b8"),
+    "teacher-fit": (
+        [51.58761071414542, 14.821450586518116, 7.043176457004558],
+        "a7cc15a52315da0b4d3cdb646399796d408d20980e165388db88248c835a949e",
+        "ab60607e0c44635d88f3b80def8fddf3573ab0d705fef39718e8cdf2f9c47b4f"),
+}
+
+
+def _log_digest(batch_log) -> str:
+    rows = [(r.epoch, r.batch, r.loss, r.lr) for r in batch_log]
+    return _digest(np.array(rows, "<f8"))
+
+
+def test_golden_distill():
+    """Epoch losses, batch log and trained weights of distill at both betas and
+    of one full-precision fit to fixed targets (the teacher's path).
+
+    150 rows in batches of 32 end each epoch on a partial batch, and three
+    epochs cross one step of the learning-rate schedule.
+    """
+    rng = Rng(77)
+    data = _uniform(rng, 150, 9)
+    targets = _uniform(rng, 150, 7)
+    teacher = golden_model()
+    got = {}
+    for beta in (2.0, 0.75):
+        student = replace_linears(teacher.clone(), MODE_TERNARY, beta)
+        result = distill(teacher, student, data, TrainConfig(beta=beta, epochs=3,
+                                                             batch_size=32, seed=5))
+        got[f"distill-beta{beta}"] = (result.epoch_losses, _log_digest(result.batch_log),
+                                      model_digest(student))
+    fit = golden_model()
+    log, epoch_losses = _train(fit, data, targets,
+                               TrainConfig(epochs=3, lr_initial=1e-2, lr_factor=1.0,
+                                           batch_size=32, seed=3))
+    got["teacher-fit"] = (epoch_losses, _log_digest(log), model_digest(fit))
+    assert got == DISTILL
+    assert model_digest(teacher) == MODEL_DIGEST

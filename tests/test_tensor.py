@@ -3,8 +3,8 @@ import pytest
 
 from conftest import random_matrix
 from ternkit.rng import Rng
-from ternkit.tensor import (as_matrix, gaussian_fill, gelu, gelu_grad, l2_normalize,
-                            layer_norm, matmul)
+from ternkit.tensor import (as_matrix, gaussian_fill, gelu, gelu_grad, gelu_with_cache,
+                            l2_normalize, layer_norm, matmul)
 
 
 def naive_matmul(a, b):
@@ -96,7 +96,7 @@ def test_gelu_grad_matches_finite_difference():
     x = np.linspace(-3, 3, 41)
     h = 1e-6
     fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-    assert np.abs(gelu_grad(x) - fd).max() < 1e-6
+    assert np.abs(gelu_grad(x, gelu_with_cache(x)[1]) - fd).max() < 1e-6
 
 
 def test_layer_norm_constant_row_zeroes_out():
@@ -137,3 +137,11 @@ def test_l2_normalize_unit_rows_and_zero_rows():
     assert y.dtype == np.float32
     assert np.array_equal(y, np.array([[0.6, 0.8], [0.0, 0.0]], np.float32))
     assert np.array_equal(norms, np.array([[5.0], [1.0]]))
+
+
+def test_gelu_with_cache_equals_gelu():
+    x = np.concatenate([random_matrix(Rng(6), 64, 64).ravel() * 4,
+                        np.array([0.0, -0.0, 1e-30, -1e-30, 40.0, -40.0, 3e38, -3e38])])
+    x = x.astype(np.float32)
+    y, _ = gelu_with_cache(x)
+    assert y.dtype == np.float32 and y.tobytes() == gelu(x).tobytes()

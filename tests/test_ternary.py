@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_matrix
 from ternkit.rng import Rng
 from ternkit.ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
-                             ternarize)
+                             ternarize, ternary_dense)
 
 finite_f32 = st.floats(min_value=-100, max_value=100, width=32,
                        allow_nan=False, allow_infinity=False)
@@ -155,3 +155,22 @@ def test_beta_sweep_rejects_bad_input():
         beta_sweep(w, [])
     with pytest.raises(ValueError):
         beta_sweep(w, [1.0, -2.0])
+
+
+@given(weight_matrices(), st.floats(0.1, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_ternary_dense_equals_partition_then_scale(w, beta):
+    t = ternarize(w, compute_threshold(w, beta))
+    dense, gamma = ternary_dense(w, beta)
+    assert dense.dtype == np.float32 and dense.tobytes() == t.dense().tobytes()
+    assert gamma == t.gamma
+
+
+def test_ternary_dense_boundary_ties_and_non_finite():
+    w = np.array([[1.0, -1.0], [1.0, -1.0]], np.float32)  # beta 1: every |w| == gamma
+    dense, gamma = ternary_dense(w, 1.0)
+    assert gamma == 1.0 and not dense.any()
+    for bad in (np.inf, -np.inf, np.nan):
+        w[0, 1] = bad
+        with pytest.raises(ValueError):
+            ternary_dense(w, 1.0)
