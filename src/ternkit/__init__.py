@@ -9,16 +9,14 @@ measure embedding quality with built-in nearest-neighbor retrieval.
 
 from .ann import (HnswParams, IvfParams, LshParams, VectorStore, build_index,
                   evaluate_retrieval, flat_search, hnsw_build, hnsw_search,
-                  ivf_build, ivf_search, lsh_build, lsh_search, precision_at_k,
-                  recall_at_k, recall_vs_exact)
+                  ivf_build, ivf_search, lsh_build, lsh_search, recall_vs_exact)
 from .distill import (AdamState, TaskSpec, TrainConfig, adam_step, distill,
                       holdout_split, lr_at, make_synthetic_teacher, mse_loss,
                       teacher_student_mse)
 from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
                       MODE_TERNARY, PackedEncoder, export_packed, model_digest,
                       replace_linears)
-from .packed import (PackedTernaryMatrix, pack, packed_gemm, packed_gemv,
-                     storage_bytes, unpack)
+from .packed import PackedTernaryMatrix, pack, packed_gemm, packed_gemv, storage_bytes
 from .rng import Rng
 from .tensor import gaussian_fill, gelu, l2_normalize, layer_norm, matmul
 from .ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,

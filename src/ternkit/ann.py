@@ -121,10 +121,14 @@ def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
     return _rank(ids, _sq_dists(rows, query), k)
 
 
-def _check_query(query: np.ndarray, dim: int) -> np.ndarray:
+def _check_query(query: np.ndarray, store: VectorStore, k: int | None = None) -> np.ndarray:
+    """The query as a float32 vector of the store's dim; k, when given, must
+    be in [1, len(store)]."""
     query = np.asarray(query, dtype=FLOAT).reshape(-1)
-    if query.shape[0] != dim:
-        raise ValueError(f"query dim {query.shape[0]} != store dim {dim}")
+    if query.shape[0] != store.dim:
+        raise ValueError(f"query dim {query.shape[0]} != store dim {store.dim}")
+    if k is not None and not 1 <= k <= len(store):
+        raise ValueError(f"k must be in [1, {len(store)}], got {k}")
     return query
 
 
@@ -144,9 +148,7 @@ def _rank(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
 
 def flat_search(store: VectorStore, query: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k by ascending L2 distance, ties broken by smaller id."""
-    query = _check_query(query, store.dim)
-    if not 1 <= k <= len(store):
-        raise ValueError(f"k must be in [1, {len(store)}], got {k}")
+    query = _check_query(query, store, k)
     return _exact_top_k(store, query, k)
 
 
@@ -240,7 +242,7 @@ def ivf_search(index: IvfIndex, query: np.ndarray, k: int) -> np.ndarray:
     May return fewer than k ids when the probed cells hold fewer points;
     probing every cell always yields exactly the brute-force ranking.
     """
-    query = _check_query(query, index.store.dim)
+    query = _check_query(query, index.store)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cd = _sq_dists(index.centroids, query)
@@ -291,9 +293,7 @@ def lsh_build(store: VectorStore, params: LshParams) -> LshIndex:
 
 def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
     """Rank by Hamming distance between sign codes, ties by smaller id."""
-    query = _check_query(query, index.store.dim)
-    if not 1 <= k <= len(index.store):
-        raise ValueError(f"k must be in [1, {len(index.store)}], got {k}")
+    query = _check_query(query, index.store, k)
     qcode = _lsh_code(query[None, :], index.hyperplanes)
     hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1)
     return _rank(np.arange(len(index.store)), hamming.astype(np.float64), k)
@@ -321,7 +321,7 @@ class HnswIndex:
     simple nearest-neighbor selection when linking (layer 0 keeps up to 2M
     links, upper layers up to M).
 
-    After every insert the build finalizes layer 0: the adjacency is
+    After the last insert the build finalizes layer 0: the adjacency is
     symmetrized (degree-cap eviction during inserts can strand one-way
     edges) and any component cut off from the entry point is reconnected
     through its nearest reachable node. Those repair edges may exceed the
@@ -337,17 +337,10 @@ class HnswIndex:
         self.entry = -1
         self.max_level = -1
 
-    # distances from one stored/query vector to a batch of node ids
-    def _dists(self, q64: np.ndarray, ids: list[int]) -> np.ndarray:
-        sub = self._vecs[ids]
-        diff = sub - q64
-        return (diff * diff).sum(axis=1)
-
     def _search_layer(self, q64: np.ndarray, entries: list[int], ef: int,
                       layer: int) -> list[tuple[float, int]]:
         visited = set(entries)
-        dists = self._dists(q64, entries)
-        candidates = [(float(d), e) for d, e in zip(dists, entries)]
+        candidates = list(zip(_sq_dists(self._vecs[entries], q64).tolist(), entries))
         heapq.heapify(candidates)
         best = [(-d, e) for d, e in candidates]
         heapq.heapify(best)
@@ -359,8 +352,7 @@ class HnswIndex:
             if not fresh:
                 continue
             visited.update(fresh)
-            for dn, nid in zip(self._dists(q64, fresh), fresh):
-                dn = float(dn)
+            for dn, nid in zip(_sq_dists(self._vecs[fresh], q64).tolist(), fresh):
                 if len(best) < ef or dn < -best[0][0]:
                     heapq.heappush(candidates, (dn, nid))
                     heapq.heappush(best, (-dn, nid))
@@ -368,14 +360,17 @@ class HnswIndex:
                         heapq.heappop(best)
         return sorted((-d, n) for d, n in best)
 
-    def _shrink(self, node: int, layer: int, limit: int) -> None:
-        ids = self.neighbors[node][layer]
-        if len(ids) <= limit:
-            return
-        ids_arr = np.array(ids)
-        dists = self._dists(self._vecs[node], ids)
-        order = np.lexsort((ids_arr, dists))
-        self.neighbors[node][layer] = [int(ids_arr[o]) for o in order[:limit]]
+    def _descend(self, q64: np.ndarray, layer: int) -> list[int]:
+        """Greedy walk from the entry point down to `layer`; returns its entry."""
+        ep = [self.entry]
+        for lc in range(self.max_level, layer, -1):
+            ep = [self._search_layer(q64, ep, 1, lc)[0][1]]
+        return ep
+
+    def _nearest(self, node: int, ids: list[int], k: int) -> list[int]:
+        """The k of `ids` nearest to `node`, by (distance, id)."""
+        arr = np.array(ids)
+        return _rank(arr, _sq_dists(self._vecs[arr], self._vecs[node]), k).tolist()
 
     def _insert(self, i: int, level: int) -> None:
         self.levels.append(level)
@@ -385,17 +380,17 @@ class HnswIndex:
             self.max_level = level
             return
         q = self._vecs[i]
-        ep = [self.entry]
-        for lc in range(self.max_level, level, -1):
-            ep = [self._search_layer(q, ep, 1, lc)[0][1]]
+        ep = self._descend(q, level)
         m, m0 = self.params.M, 2 * self.params.M
         for lc in range(min(level, self.max_level), -1, -1):
             found = self._search_layer(q, ep, self.params.ef_construction, lc)
             limit = m0 if lc == 0 else m
             for _, nid in found[:m]:
                 self.neighbors[i][lc].append(nid)
-                self.neighbors[nid][lc].append(i)
-                self._shrink(nid, lc, limit)
+                links = self.neighbors[nid][lc]
+                links.append(i)
+                if len(links) > limit:
+                    self.neighbors[nid][lc] = self._nearest(nid, links, limit)
             ep = [n for _, n in found]
         if level > self.max_level:
             self.entry = i
@@ -410,15 +405,14 @@ class HnswIndex:
             for v in self.neighbors[u][0]:
                 adj[v].add(u)
         reached = self._component(adj, self.entry)
-        while len(reached) < n:
-            u = min(i for i in range(n) if i not in reached)
-            members = sorted(reached)
-            dists = self._dists(self._vecs[u], members)
-            order = np.lexsort((np.array(members), dists))
-            v = members[int(order[0])]
-            adj[u].add(v)
-            adj[v].add(u)
-            reached |= self._component(adj, u)
+        # the lowest unreached id joins its nearest reached node, and its
+        # whole component is reached with it
+        for u in range(n):
+            if u not in reached:
+                (v,) = self._nearest(u, list(reached), 1)
+                adj[u].add(v)
+                adj[v].add(u)
+                reached |= self._component(adj, u)
         for u in range(n):
             self.neighbors[u][0] = sorted(adj[u])
 
@@ -450,39 +444,16 @@ def hnsw_build(store: VectorStore, params: HnswParams) -> HnswIndex:
 
 
 def hnsw_search(index: HnswIndex, query: np.ndarray, k: int) -> np.ndarray:
-    query = _check_query(query, index.store.dim)
+    query = _check_query(query, index.store, k)
     ef = index.params.ef_search
     if ef < k:
         raise ValueError(f"ef_search {ef} must be >= k {k}")
-    if not 1 <= k <= len(index.store):
-        raise ValueError(f"k must be in [1, {len(index.store)}], got {k}")
     q = query.astype(np.float64)
-    ep = [index.entry]
-    for lc in range(index.max_level, 0, -1):
-        ep = [index._search_layer(q, ep, 1, lc)[0][1]]
-    found = index._search_layer(q, ep, ef, 0)
+    found = index._search_layer(q, index._descend(q, 0), ef, 0)
     return np.array([n for _, n in found[:k]], dtype=np.int64)
 
 
 # -- metrics ------------------------------------------------------------------
-
-def precision_at_k(retrieved, relevant: set, k: int) -> float:
-    """|top-k intersect relevant| / k."""
-    if k < 1 or k > len(retrieved):
-        raise ValueError(f"k must be in [1, {len(retrieved)}], got {k}")
-    hits = sum(1 for r in list(retrieved)[:k] if r in relevant)
-    return hits / k
-
-
-def recall_at_k(retrieved, relevant: set, k: int) -> float:
-    """|top-k intersect relevant| / |relevant|."""
-    if not relevant:
-        raise ValueError("relevant set must be non-empty for recall")
-    if k < 1 or k > len(retrieved):
-        raise ValueError(f"k must be in [1, {len(retrieved)}], got {k}")
-    hits = sum(1 for r in list(retrieved)[:k] if r in relevant)
-    return hits / len(relevant)
-
 
 def recall_vs_exact(approx_ids, exact_ids, k: int) -> float:
     """Overlap between an approximate top-k and the exact top-k, over k."""

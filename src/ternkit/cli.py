@@ -86,7 +86,7 @@ def _note(text: str) -> None:
 
 def _load_weight_matrix(path) -> np.ndarray:
     arr = storage.load_tensor(path)
-    if not isinstance(arr, np.ndarray) or arr.ndim != 2 or arr.dtype != np.float32:
+    if arr.ndim != 2 or arr.dtype != np.float32:
         raise storage.IntegrityError("weights file must hold a rank-2 float32 tensor")
     return arr
 
@@ -172,7 +172,7 @@ def cmd_eval_retrieval(args) -> int:
     model = storage.load_checkpoint(args.model)
     data = storage.load_vectors(args.dataset)
     labels_arr = storage.load_tensor(args.labels)
-    if not isinstance(labels_arr, np.ndarray) or labels_arr.ndim != 1:
+    if labels_arr.ndim != 1:
         raise storage.IntegrityError("labels file must hold a rank-1 tensor")
     if labels_arr.dtype.kind == "f" and not np.all(
             np.isfinite(labels_arr) & (np.trunc(labels_arr) == labels_arr)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor
-from .encoder import EncoderConfig, EncoderModel, architecture_parity
+from .encoder import EncoderConfig, EncoderModel, architecture_parity, require_ints
 from .rng import Rng
 
 
@@ -46,6 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "epochs", "lr_step_epochs", "batch_size", "seed")
         if self.lr_initial <= 0:
             raise ValueError(f"lr_initial must be positive, got {self.lr_initial}")
         if self.epochs < 1:
@@ -228,6 +229,8 @@ class TaskSpec:
     teacher_batch_size: int = 128
 
     def __post_init__(self):
+        require_ints(self, "num_clusters", "num_points", "seed", "teacher_epochs",
+                     "teacher_batch_size")
         if self.num_clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.num_clusters}")
         if self.num_points < self.num_clusters:

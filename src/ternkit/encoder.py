@@ -36,6 +36,15 @@ MODE_FULL = "full_precision"
 MODE_TERNARY = "ternary"
 
 
+def require_ints(config, *names: str) -> None:
+    """Raise ValueError unless each named field is an integer (numpy integers
+    included); floats and bools are rejected, never truncated."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class EncoderConfig:
     input_dim: int
@@ -45,6 +54,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "input_dim", "hidden_dim", "output_dim", "num_blocks", "seed")
         for field in ("input_dim", "hidden_dim", "output_dim", "num_blocks"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
@@ -54,8 +64,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**{k: int(d[k]) for k in ("input_dim", "hidden_dim", "output_dim",
-                                             "num_blocks", "seed")})
+        return cls(**{k: d[k] for k in ("input_dim", "hidden_dim", "output_dim",
+                                        "num_blocks", "seed")})
 
 
 def part_shapes(config: EncoderConfig) -> list[tuple[str, dict[str, tuple[int, ...]]]]:

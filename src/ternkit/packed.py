@@ -92,12 +92,6 @@ def pack(t: TernaryMatrix, bias: np.ndarray | None = None) -> PackedTernaryMatri
     return PackedTernaryMatrix(t.rows, t.cols, plus, minus, t.gamma, bias)
 
 
-def unpack(p: PackedTernaryMatrix) -> TernaryMatrix:
-    """Exact inverse of pack; re-validates plane integrity."""
-    _check_planes(p.cols, p.plus_plane, p.minus_plane)
-    return TernaryMatrix(p.rows, p.cols, _plane_trits(p), p.gamma)
-
-
 def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
     """gamma * (trits @ x) + bias in float64, rounded to float32; bias broadcasts per column."""
     y = np.float64(p.gamma) * (p.csr() @ np.ascontiguousarray(x, dtype=np.float64))

@@ -7,8 +7,9 @@ file re-serializes to identical bytes.
 
 Tensor container ("TERN"):   magic(4) version(u16) dtype(u8) rank(u8)
                              dims(u32 each) payload
-    dtype 0 = float32, 1 = trit planes (plus then minus, LSB-first rows),
-    2 = uint8.
+    dtype 0 = float32, 2 = uint8. Code 1 (bare trit planes) is retired:
+    like any other code it is rejected, and ternary weights are stored only
+    as packed layer records.
 
 Packed layer record ("TPKD"): magic(4) version(u16) rows(u32) cols(u32)
                               gamma(f32) bias_present(u8)
@@ -30,13 +31,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                       PackedEncoder, export_packed, part_shapes)
-from .packed import PackedTernaryMatrix, PlaneIntegrityError, row_bytes
+from .packed import PackedTernaryMatrix, row_bytes
 from .tensor import FLOAT
 
 MAGIC_TENSOR = b"TERN"
@@ -44,7 +44,6 @@ MAGIC_PACKED = b"TPKD"
 FORMAT_VERSION = 1
 
 DTYPE_F32 = 0
-DTYPE_TRIT_PLANES = 1
 DTYPE_U8 = 2
 
 CHECKPOINT_FORMAT = "ternkit-checkpoint"
@@ -112,15 +111,6 @@ def _read_version(f) -> None:
 
 # -- tensor container ----------------------------------------------------------
 
-@dataclass
-class TritPlanes:
-    """Payload of a dtype-1 container: the two planes without scale or bias."""
-    rows: int
-    cols: int
-    plus_plane: np.ndarray
-    minus_plane: np.ndarray
-
-
 def write_tensor(f, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim < 1:
@@ -139,20 +129,8 @@ def write_tensor(f, arr: np.ndarray) -> None:
     f.write(payload)
 
 
-def write_trit_planes(f, tp: TritPlanes) -> None:
-    nbytes = row_bytes(tp.cols)
-    for plane in (tp.plus_plane, tp.minus_plane):
-        if plane.dtype != np.uint8 or plane.shape != (tp.rows, nbytes):
-            raise ValueError("planes must be uint8 with shape (rows, ceil(cols/8))")
-    f.write(MAGIC_TENSOR)
-    f.write(struct.pack("<HBB", FORMAT_VERSION, DTYPE_TRIT_PLANES, 2))
-    f.write(struct.pack("<2I", tp.rows, tp.cols))
-    f.write(tp.plus_plane.tobytes(order="C"))
-    f.write(tp.minus_plane.tobytes(order="C"))
-
-
 def read_tensor(f):
-    """Read one container; returns an ndarray or a TritPlanes."""
+    """Read one container as an ndarray."""
     _expect_magic(f, MAGIC_TENSOR)
     _read_version(f)
     code, rank = struct.unpack("<BB", _read_exact(f, 2, "dtype/rank"))
@@ -168,16 +146,6 @@ def read_tensor(f):
     if code == DTYPE_U8:
         payload = _read_exact(f, count, "u8 payload")
         return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-    if code == DTYPE_TRIT_PLANES:
-        if rank != 2:
-            raise IntegrityError("trit-plane containers must be rank 2")
-        rows, cols = dims
-        nbytes = row_bytes(cols)
-        plus = np.frombuffer(_read_exact(f, rows * nbytes, "plus plane"),
-                             dtype=np.uint8).reshape(rows, nbytes).copy()
-        minus = np.frombuffer(_read_exact(f, rows * nbytes, "minus plane"),
-                              dtype=np.uint8).reshape(rows, nbytes).copy()
-        return TritPlanes(rows, cols, plus, minus)
     raise FormatError(f"unknown dtype code {code}")
 
 
@@ -228,9 +196,7 @@ def read_packed_layer(f) -> PackedTernaryMatrix:
                              dtype="<f4").astype(np.float32)
     try:
         return PackedTernaryMatrix(rows, cols, plus, minus, gamma, bias)
-    except PlaneIntegrityError as e:
-        raise IntegrityError(str(e)) from e
-    except ValueError as e:
+    except ValueError as e:  # PlaneIntegrityError included
         raise IntegrityError(str(e)) from e
 
 
@@ -403,8 +369,7 @@ def load_checkpoint(path):
                 ok = (record.rows, record.cols) == shape and record.bias is not None
             else:
                 record = read_tensor(f)
-                ok = (isinstance(record, np.ndarray) and record.dtype == FLOAT
-                      and record.shape == shape)
+                ok = record.dtype == FLOAT and record.shape == shape
             if not ok:
                 raise IntegrityError(f"record {name} does not match its config shape {shape}")
             records[name] = record

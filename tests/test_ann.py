@@ -8,8 +8,7 @@ from ternkit import ann
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore,
                          build_index, default_params, evaluate_retrieval,
                          flat_search, hnsw_build, hnsw_search, ivf_build,
-                         ivf_search, lsh_build, lsh_search, precision_at_k,
-                         recall_at_k, recall_vs_exact)
+                         ivf_search, lsh_build, lsh_search, recall_vs_exact)
 from ternkit.rng import Rng
 
 
@@ -348,6 +347,24 @@ def test_hnsw_deterministic_per_seed():
     assert np.array_equal(hnsw_search(a, q, 7), hnsw_search(b, q, 7))
 
 
+@given(st.integers(2, 4), st.integers(20, 60), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1), st.integers(0, 100))
+@settings(max_examples=60, deadline=None)
+def test_hnsw_repair_connects_far_groups(groups, size, dim, interleave, data_seed, seed):
+    """Groups 100 apart, built with a beam of one: inserts cut groups off from
+    the entry point and the layer-0 repair must join them again. Rows lie on
+    a small integer grid, so the store has duplicates and tied distances."""
+    n = groups * size
+    group = np.arange(n) % groups if interleave else np.arange(n) // size
+    u = Rng(data_seed).uniforms_open(n * dim).reshape(n, dim)
+    store = VectorStore((np.floor(3.0 * u) + 100.0 * group[:, None]).astype(np.float32))
+    index = hnsw_build(store, HnswParams(M=2, ef_construction=1, ef_search=n, seed=seed))
+    assert hnsw_layer0_connected(index)
+    assert hnsw_level_bounds_ok(index)
+    for q in (store.vectors[0], store.vectors[-1], np.full(dim, 50.0, np.float32)):
+        assert np.array_equal(hnsw_search(index, q, n), flat_search(store, q, n))
+
+
 def test_hnsw_rejects_ef_below_k():
     store = gaussian_store(Rng(19), 30, 4)
     index = hnsw_build(store, HnswParams(M=4, ef_search=5, seed=0))
@@ -365,29 +382,33 @@ def test_hnsw_params_validation():
 # -- metrics --------------------------------------------------------------------
 
 def test_precision_recall_hand_case():
-    assert precision_at_k([1, 2, 3], {2}, 3) == pytest.approx(1 / 3)
-    assert recall_at_k([1, 2, 3], {2}, 3) == 1.0
-
-
-def test_precision_full_overlap():
-    assert precision_at_k([4, 5], {4, 5, 6, 7}, 2) == 1.0
+    # unit vectors at these angles; label 0 has three members, more than k = 1, 2
+    angles = np.radians([0.0, 12.0, 20.0, 33.0, 100.0])
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.float32)
+    labels = np.array([0, 1, 0, 0, 1])
+    # neighbors by angle, self dropped, and the relevant ids of each query:
+    #   q0: 1 2 3 4  {2, 3}    q1: 2 0 3 4  {4}    q2: 1 3 0 4  {0, 3}
+    #   q3: 2 1 0 4  {0, 2}    q4: 3 2 1 0  {1}
+    # hits at k = 1, 2, 3:  q0 0 1 2,  q1 0 0 0,  q2 0 1 2,  q3 1 1 2,  q4 0 0 1
+    out = evaluate_retrieval(pts, labels, "flat", [1, 2, 3])
+    # precision@k = hits / k
+    assert out["precision_at_k"] == pytest.approx(
+        {"1": 1 / 5, "2": (1 + 1 + 1) / 2 / 5, "3": (2 + 2 + 2 + 1) / 3 / 5})
+    # recall@k = hits / min(|relevant|, k): q3's one hit at k = 1 counts 1, not 1/2
+    assert out["recall_at_k"] == pytest.approx(
+        {"1": 1 / 5, "2": (1 / 2 + 1 / 2 + 1 / 2) / 5, "3": (1 + 1 + 1 + 1) / 5})
 
 
 def test_metrics_no_overlap():
-    assert precision_at_k([1, 2], {9}, 2) == 0.0
-    assert recall_at_k([1, 2], {9}, 2) == 0.0
-
-
-def test_recall_rejects_empty_relevant():
-    with pytest.raises(ValueError):
-        recall_at_k([1, 2], set(), 2)
+    # every label is a singleton: no query has a relevant id, and recall's
+    # divisor min(|relevant|, k) is 0, which scores 0 rather than raising
+    pts = Rng(23).normals(6 * 3).reshape(6, 3).astype(np.float32)
+    out = evaluate_retrieval(pts, np.arange(6), "flat", [1, 3])
+    assert out["precision_at_k"] == {"1": 0.0, "3": 0.0}
+    assert out["recall_at_k"] == {"1": 0.0, "3": 0.0}
 
 
 def test_metrics_reject_bad_k():
-    with pytest.raises(ValueError):
-        precision_at_k([1, 2], {1}, 3)
-    with pytest.raises(ValueError):
-        recall_at_k([1, 2], {1}, 0)
     for k in (0, -1):
         with pytest.raises(ValueError):
             recall_vs_exact([1, 2], [1, 2], k)

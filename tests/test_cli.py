@@ -85,6 +85,18 @@ def test_ternarize_forged_huge_tensor_exits_2(capsys, tmp_path):
     assert "remain in the file" in err
 
 
+def test_ternarize_retired_trit_plane_container_exits_2(capsys, tmp_path):
+    # dtype code 1 once held bare trit planes (here 4x9: two 8-byte planes)
+    retired = tmp_path / "planes.tern"
+    retired.write_bytes(b"TERN" + struct.pack("<HBB2I", 1, 1, 2, 4, 9) + b"\x00" * 16)
+    with pytest.raises(storage.FormatError, match="unknown dtype code 1"):
+        storage.load_tensor(retired)
+    code, _, err = run_cli(capsys, "ternarize", "--weights", str(retired),
+                           "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "unknown dtype code 1" in err
+
+
 def test_ternarize_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "ternarize", "--weights", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "x"))
@@ -163,6 +175,36 @@ def test_distill_epochs_zero_exits_2(capsys, tmp_path, task_files):
                            "--out", str(tmp_path / "s.ckpt"))
     assert code == 2
     assert "epochs" in err
+
+
+@pytest.mark.parametrize("command, section, field, value", [
+    ("distill", None, "epochs", 2.5),
+    ("distill", None, "batch_size", 16.5),
+    ("distill", None, "seed", 1.5),
+    ("distill", None, "lr_step_epochs", 1.5),
+    ("distill", None, "epochs", True),
+    ("make-task", "task", "num_points", 200.5),
+    ("make-task", "task", "teacher_epochs", 1.5),
+    ("make-task", "encoder", "input_dim", 8.7),
+])
+def test_non_integer_config_field_exits_2(capsys, tmp_path, task_files,
+                                          command, section, field, value):
+    teacher, data, labels = task_files
+    if command == "distill":
+        cfg = train_config_file(tmp_path, **{field: value})
+        args = ["--data", str(data), "--teacher", str(teacher), "--out", str(tmp_path / "s")]
+    else:
+        raw = {"encoder": {"input_dim": 8, "hidden_dim": 8, "output_dim": 8, "num_blocks": 1,
+                           "seed": 3},
+               "task": {"num_clusters": 4, "num_points": 240, "teacher_epochs": 1}}
+        raw[section][field] = value
+        cfg = tmp_path / "task.json"
+        cfg.write_text(json.dumps(raw))
+        args = ["--out-teacher", str(teacher), "--out-data", str(data),
+                "--out-labels", str(labels)]
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), *args)
+    assert code == 2, err
+    assert f"{field} must be an integer" in err
 
 
 def test_distill_deterministic_reruns(capsys, tmp_path, task_files):

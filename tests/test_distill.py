@@ -77,6 +77,13 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+def test_config_integer_fields_take_numpy_integers():
+    assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(8)).epochs == 2
+    assert TaskSpec(num_clusters=np.int64(2), num_points=np.int64(4)).num_points == 4
+    assert EncoderConfig.from_dict({"input_dim": np.int64(3), "hidden_dim": 4,
+                                    "output_dim": 4, "num_blocks": 1, "seed": 0}).input_dim == 3
+
+
 def test_adam_zero_gradients_leave_params_unchanged():
     params = {"w": np.array([1.0, -2.0], np.float32)}
     state = AdamState.initialize(params)

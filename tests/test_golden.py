@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 
+from conftest import hnsw_layer0_connected
 from ternkit import storage
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_search,
                          hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
@@ -163,6 +164,32 @@ def test_golden_retrieval():
            for kind, search in top.items()},
     }
     assert got == RETRIEVAL
+
+
+HNSW_REPAIR = {
+    "levels": "f51952ca23d2ddd6ba4dd368d0c27f04ba919ddc7b4d8e1b55079694030fe143",
+    "neighbors": "742bec4331c925a0b67dd5a9665587101c655118e3628683dafe3d09dec5ddbc",
+    "top4": "6e3173f66697d28fc345e8f97bb5994c5eaf023aabc4f9d9a87a001427bb03b5",
+}
+
+
+def test_golden_hnsw_repair():
+    """Two clusters 100 apart with M=2 and a beam of one: inserts leave parts
+    of layer 0 cut off from the entry point, and the build reconnects each
+    through its nearest reached node (8 repairs on this store)."""
+    rng = Rng(9)
+    near = rng.uniforms_open(200 * 8).reshape(200, 8).astype(np.float32)
+    far = (rng.uniforms_open(200 * 8).reshape(200, 8) + 100).astype(np.float32)
+    store = VectorStore(np.concatenate([near, far]))
+    index = hnsw_build(store, HnswParams(M=2, ef_construction=1, ef_search=4, seed=1))
+    queries = store.vectors[[0, 57, 199, 200, 399]]
+    got = {
+        "levels": _digest(np.array(index.levels, "<i8")),
+        "neighbors": hashlib.sha256(json.dumps(index.neighbors).encode()).hexdigest(),
+        "top4": _digest(*(np.asarray(hnsw_search(index, q, 4), "<i8") for q in queries)),
+    }
+    assert got == HNSW_REPAIR
+    assert hnsw_layer0_connected(index)
 
 
 # -- distillation ----------------------------------------------------------------

@@ -83,19 +83,6 @@ def test_tensor_trailing_bytes(tmp_path):
         storage.load_tensor(path)
 
 
-def test_trit_planes_container_round_trip():
-    p = random_packed(Rng(4), 5, 11)
-    buf = io.BytesIO()
-    storage.write_trit_planes(buf, storage.TritPlanes(p.rows, p.cols,
-                                                      p.plus_plane, p.minus_plane))
-    buf.seek(0)
-    back = storage.read_tensor(buf)
-    assert isinstance(back, storage.TritPlanes)
-    assert back.rows == 5 and back.cols == 11
-    assert np.array_equal(back.plus_plane, p.plus_plane)
-    assert np.array_equal(back.minus_plane, p.minus_plane)
-
-
 # -- packed layer record -----------------------------------------------------------
 
 @given(st.integers(1, 12), st.integers(1, 30), st.booleans())
@@ -184,10 +171,8 @@ HUGE = 60000  # a 60000x60000 f32 payload would be 14.4 GB
 @pytest.mark.parametrize("raw, reader", [
     (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_F32, 2, HUGE, HUGE), storage.read_tensor),
     (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_U8, 2, HUGE, HUGE), storage.read_tensor),
-    (b"TERN" + struct.pack("<HBB2I", 1, storage.DTYPE_TRIT_PLANES, 2, HUGE, HUGE),
-     storage.read_tensor),
     (b"TPKD" + struct.pack("<HIIfB", 1, HUGE, HUGE, 1.0, 1), storage.read_packed_layer),
-], ids=["f32", "u8", "trit-planes", "packed"])
+], ids=["f32", "u8", "packed"])
 def test_forged_payload_size_rejected_before_reading(raw, reader):
     with pytest.raises(TruncatedFileError, match="remain in the file"):
         reader(_StrictStream(raw + b"\x00" * 64))
