@@ -2,9 +2,10 @@
 
 Quantize dense linear layers to {-1, 0, +1} with a beta-scaled threshold,
 recover accuracy by self-distillation from the full-precision model,
-execute the result through a bit-plane kernel (the inner loop multiplies
-only by ±1, which is exact, and gamma and bias touch each output once), and
-measure embedding quality with built-in nearest-neighbor retrieval.
+execute the result through a bit-plane kernel (every product is by -1, 0 or
++1, so each is exact, the sum accumulates in float64, and gamma and bias
+touch each output once), and measure embedding quality with built-in
+nearest-neighbor retrieval.
 """
 
 from .ann import (HnswParams, IvfParams, LshParams, VectorStore, build_index,

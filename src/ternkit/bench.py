@@ -83,4 +83,5 @@ def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0, beta: float = 2.0
         "latency_ratio_packed_over_dense": packed_ns / dense_ns,
         "storage_ratio_packed_over_dense": storage_bytes(p) / dense_bytes,
         "kernel_check_max_rel_err": check,
+        "operand": "dense" if isinstance(p.operand(), np.ndarray) else "csr",
     }

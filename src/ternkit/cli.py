@@ -207,13 +207,15 @@ def cmd_bench_gemv(args) -> int:
     _emit({"op": "bench_gemv_summary",
            "latency_ratio_packed_over_dense": result["latency_ratio_packed_over_dense"],
            "storage_ratio_packed_over_dense": result["storage_ratio_packed_over_dense"],
-           "kernel_check_max_rel_err": result["kernel_check_max_rel_err"]})
+           "kernel_check_max_rel_err": result["kernel_check_max_rel_err"],
+           "operand": result["operand"]})
     for report in result["reports"]:
         _note(f"{report['operation']:>22}: {report['per_call_ns'] / 1e6:.3f} ms/call, "
               f"{report['storage_bytes']} bytes")
     _note(f"latency ratio {result['latency_ratio_packed_over_dense']:.3f}, "
           f"storage ratio {result['storage_ratio_packed_over_dense']:.4f}, "
-          f"kernel check {result['kernel_check_max_rel_err']:.2e}")
+          f"kernel check {result['kernel_check_max_rel_err']:.2e}, "
+          f"{result['operand']} operand")
     return 0
 
 
@@ -221,7 +223,9 @@ def cmd_make_task(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
         raw = json.load(f)
     try:
-        config = EncoderConfig.from_dict(raw["encoder"])
+        # a missing encoder seed is 0, as in TaskSpec and TrainConfig; only
+        # checkpoint sidecars, which the writer always fills, require it
+        config = EncoderConfig.from_dict({"seed": 0, **raw["encoder"]})
         spec = TaskSpec(**raw["task"])
     except (KeyError, TypeError, ValueError) as e:
         raise storage.ConfigError(f"invalid task config: {e}") from e

@@ -276,6 +276,7 @@ def test_criterion_09_latency_report():
         summary = next(r for r in records if r["op"] == "bench_gemv_summary")
         reports = {r["operation"]: r for r in records if r["op"] == "bench_gemv"}
         ok &= summary["kernel_check_max_rel_err"] <= 1e-5
+        ok &= summary.get("operand") in ("csr", "dense")
         ok &= all(r["total_ns"] > 0 for r in reports.values())
         # plane bytes over dense f32 bytes: 1/16 plus constants
         ok &= abs(summary["storage_ratio_packed_over_dense"] - 0.0625) < 1e-3

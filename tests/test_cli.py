@@ -135,6 +135,7 @@ def test_bench_gemv_reports(capsys):
     assert "bench_gemv_summary" in ops
     summary = next(r for r in records if r["op"] == "bench_gemv_summary")
     assert summary["kernel_check_max_rel_err"] <= 1e-5
+    assert summary["operand"] == "csr"  # beta 2 leaves ~11% of Gaussian trits nonzero
     reports = [r for r in records if r["op"] == "bench_gemv"]
     assert {r["operation"] for r in reports} == {"dense_gemv_f32", "packed_ternary_gemv"}
     assert all(r["total_ns"] > 0 for r in reports)
@@ -282,7 +283,8 @@ def test_eval_retrieval_rejects_labels_that_are_not_ids(capsys, tmp_path, task_f
 @pytest.mark.parametrize("edit", [
     lambda meta: meta.pop("sha256"),
     lambda meta: meta["entries"][0].update(name="renamed"),
-], ids=["no_sha256", "renamed_entry"])
+    lambda meta: meta["config"].pop("seed"),
+], ids=["no_sha256", "renamed_entry", "no_config_seed"])
 def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, edit):
     teacher, data, labels = task_files
     model = tmp_path / "student.tckpt"
@@ -296,6 +298,25 @@ def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, 
                            "--dataset", str(data), "--labels", str(labels),
                            "--index", "flat", "--k", "1")
     assert code == 2, err
+
+
+def test_make_task_missing_encoder_seed_is_zero(capsys, tmp_path):
+    outputs = []
+    for tag, seed in (("explicit", {"seed": 0}), ("missing", {})):
+        cfg_path = tmp_path / f"task_{tag}.json"
+        cfg_path.write_text(json.dumps({
+            "encoder": {"input_dim": 6, "hidden_dim": 6, "output_dim": 6, "num_blocks": 1,
+                        **seed},
+            "task": {"num_clusters": 2, "num_points": 40, "seed": 9, "teacher_epochs": 1},
+        }))
+        teacher = tmp_path / f"t_{tag}.ckpt"
+        code, _, err = run_cli(capsys, "make-task", "--config", str(cfg_path),
+                               "--out-teacher", str(teacher),
+                               "--out-data", str(tmp_path / f"d_{tag}.vec"),
+                               "--out-labels", str(tmp_path / f"l_{tag}.tern"))
+        assert code == 0, err
+        outputs.append((teacher.read_bytes(), (tmp_path / f"t_{tag}.ckpt.json").read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_env_override_changes_task(capsys, tmp_path, monkeypatch):

@@ -187,6 +187,20 @@ def test_packed_encoder_matches_dense_ternary_path():
     assert max_rel_err(packed.forward(x), model.forward(x)) <= 1e-4
 
 
+def test_packed_encoder_with_mixed_operands_matches_ste_forward():
+    # beta 0.75 leaves ~55% of Gaussian trits nonzero (dense operand), beta 2 ~11% (CSR)
+    model = replace_linears(EncoderModel.init(EncoderConfig(12, 16, 10, 2, seed=31)),
+                            MODE_TERNARY, 2.0)
+    for i, (_, layer) in enumerate(model.linear_layers()):
+        layer.beta = 0.75 if i % 2 else 2.0
+    packed = PackedEncoder.from_model(model)
+    kinds = [isinstance(p.operand(), np.ndarray) for p in packed.packed_layers]
+    assert kinds == [bool(i % 2) for i in range(len(kinds))]
+    for rows in (1, 20):
+        x = random_matrix(Rng(6), rows, 12)
+        assert max_rel_err(packed.forward(x), model.forward(x)) <= 1e-5
+
+
 def test_model_digest_tracks_weight_changes():
     model = EncoderModel.init(small_config())
     d1 = model_digest(model)

@@ -5,20 +5,23 @@ retrieval path are pinned.
 The weights and inputs come from ``Rng.uniforms_open``, whose draws are
 bit-portable (normal variates are only stable per platform), so these hashes
 hold on any platform; the exceptions are the LSH hyperplanes, which
-``lsh_build`` draws as normals, and the distillation trajectories, which hold
-wherever BLAS and libm float64 results round to the same float32 values. A
-change to either checkpoint writer, the sidecar layout, the parameter walk,
-the rounding of the packed kernel, the arithmetic of a training step, or the
-ids and tie order an index returns shows up here as a hash mismatch.
+``lsh_build`` draws as normals, and the distillation trajectories and the
+dense packed operand's products, which hold wherever BLAS and libm float64
+results round to the same float32 values. A change to either checkpoint
+writer, the sidecar layout, the parameter walk, the rounding of the packed
+kernel, the arithmetic of a training step, or the ids and tie order an index
+returns shows up here as a hash mismatch.
 """
 
 import hashlib
 import json
 
 import numpy as np
+import pytest
+from scipy import sparse
 
 from conftest import hnsw_layer0_connected
-from ternkit import storage
+from ternkit import packed, storage
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_search,
                          hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
                          lsh_search)
@@ -119,6 +122,23 @@ def _kernel_digest(t: TernaryMatrix, seed: int) -> str:
 def test_golden_kernel_outputs():
     got = {name: _kernel_digest(t, 7) for name, t in _kernel_layers().items()}
     assert got == KERNEL
+
+
+@pytest.mark.parametrize("min_fill, kind", [(0.0, np.ndarray), (2.0, sparse.csr_matrix)])
+def test_golden_kernel_outputs_per_operand(monkeypatch, min_fill, kind):
+    # fill 0 makes every operand dense, fill 2 (never reached) every one CSR
+    monkeypatch.setattr(packed, "_DENSE_MIN_FILL", min_fill)
+    layers = _kernel_layers()
+    assert all(type(pack(t).operand()) is kind for t in layers.values())
+    assert {name: _kernel_digest(t, 7) for name, t in layers.items()} == KERNEL
+
+
+def test_operand_rule_by_density():
+    dense = {"64x64-beta0.75", "256x64-beta0.75", "64x256-beta0.75", "empty-rows",
+             "ragged-cols"}
+    for name, t in _kernel_layers().items():
+        op = pack(t).operand()
+        assert type(op) is (np.ndarray if name in dense else sparse.csr_matrix), name
 
 
 # -- retrieval -------------------------------------------------------------------
