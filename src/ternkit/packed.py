@@ -14,7 +14,10 @@ quarter of the trits are nonzero, a CSR matrix (about 12 B per nonzero)
 otherwise. Neither is stored on disk. Every product is by -1, 0 or +1, so each
 product is exact; the sum accumulates in float64 and rounds to float32, and
 gamma and bias touch each output once. The two forms can differ only in
-summation order; the kernel goldens pin the float32 outputs.
+summation order. scipy fixes the CSR's order; BLAS picks the dense form's, so
+a dense layer's float32 output can differ between BLAS builds where float64
+sums taken in different orders round differently. The kernel goldens hold
+only where they agree.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .ternary import TernaryMatrix
 # On-disk record overhead: magic(4) + version(2) + rows(4) + cols(4) + bias flag(1).
 PACKED_RECORD_HEADER_BYTES = 15
 
-# Nonzero share at and above which the operand is dense. At the TWN threshold
-# (~55% nonzero) dense BLAS is 2-5x faster than scipy's CSR product; at beta 2
-# (~11-21%) the CSR is smaller and stays in cache for single-row requests.
+# Nonzero share at and above which the operand is dense. Where dense starts to
+# win depends on batch and working set (one thread, 2 MB L2): through the ten
+# layers of a 64/256/64, 4-block encoder, batch 1 crosses between 20% and 25%
+# nonzero and batch 512 between 10% and 15%; on one 4096x4096 layer, batch 1
+# crosses between 40% and 55% and batch 512 between 5% and 10%. 0.25 is that
+# encoder's batch-1 crossover. Beta 2 (~11-21% nonzero) and the TWN threshold
+# beta 0.75 (~43-55%) both sit clear of it.
 _DENSE_MIN_FILL = 0.25
 
 
