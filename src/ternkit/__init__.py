@@ -19,7 +19,7 @@ from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
                       replace_linears)
 from .packed import PackedTernaryMatrix, pack, packed_gemm, packed_gemv, storage_bytes
 from .rng import Rng
-from .tensor import gaussian_fill, gelu, l2_normalize, layer_norm, matmul
+from .tensor import gaussian_fill, gelu, layer_norm, matmul
 from .ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
                       ternarize)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import Rng
-from .tensor import FLOAT, l2_normalize
+from .tensor import FLOAT
 
 INDEX_KINDS = ("flat", "ivf", "lsh", "hnsw")
 
@@ -503,8 +503,10 @@ def build_index(kind: str, store: VectorStore, params=None, seed: int = 0):
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """L2-normalize rows to float32; zero rows stay zero."""
-    return l2_normalize(np.asarray(x, dtype=np.float64))[0].astype(FLOAT)
+    """L2-normalize rows in float64, rounded once to float32; zero rows stay zero."""
+    x64 = np.asarray(x, dtype=np.float64)
+    norms = np.sqrt((x64 * x64).sum(axis=1, keepdims=True))
+    return (x64 / np.where(norms > 0.0, norms, 1.0)).astype(FLOAT)
 
 
 def evaluate_retrieval(embeddings: np.ndarray, labels: np.ndarray, kind: str,

@@ -17,7 +17,7 @@ import numpy as np
 from .packed import pack, packed_gemv, storage_bytes
 from .rng import Rng
 from .tensor import FLOAT, gaussian_fill
-from .ternary import compute_threshold, ternarize
+from .ternary import DEFAULT_BETA, compute_threshold, ternarize
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -49,8 +49,8 @@ def _time_loop(fn, reps: int) -> int:
     return time.perf_counter_ns() - start
 
 
-def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0, beta: float = 2.0) -> dict:
-    """Time dense f32 GEMV against the packed ternary kernel on one matrix."""
+def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0) -> dict:
+    """Time dense f32 GEMV against the packed kernel on one matrix at the default beta."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if rows < 1 or cols < 1:
@@ -58,7 +58,7 @@ def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0, beta: float = 2.0
     rng = Rng(seed)
     w = gaussian_fill(rng, rows, cols, 1.0)
     x = rng.normals(cols).astype(FLOAT)
-    t = ternarize(w, compute_threshold(w, beta))
+    t = ternarize(w, compute_threshold(w, DEFAULT_BETA))
     p = pack(t)
     env = _environment_note()
 

@@ -23,7 +23,7 @@ make nearest-neighbor retrieval meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class TrainConfig:
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return cls(**d)
@@ -70,21 +67,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def initialize(cls, params: dict[str, np.ndarray], beta1: float = 0.9,
+    def initialize(cls, params: np.ndarray, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -106,23 +100,16 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr_initial * config.lr_factor ** (epoch // config.lr_step_epochs)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], lr: float) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     """One bias-corrected Adam update, in place on params and state."""
-    if set(params) != set(grads):
-        raise ValueError("params and grads carry different keys")
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {k}")
-        m = state.m[k]
-        v = state.v[k]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m += (1.0 - state.beta1) * (grads - state.m)
+    state.v += (1.0 - state.beta2) * (grads * grads - state.v)
+    params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
 @dataclass(frozen=True)
@@ -186,8 +173,8 @@ def _train(model: EncoderModel, data: np.ndarray, targets: np.ndarray,
     """
     n = data.shape[0]
     rng = Rng(config.seed)
-    params = {"all": model.flat_parameters()}
-    grads = {"all": np.empty_like(params["all"])}
+    params = model.flat_parameters()
+    grads = np.empty_like(params)
     state = AdamState.initialize(params, config.adam_beta1, config.adam_beta2,
                                  config.adam_eps)
     batch_log: list[LossRecord] = []
@@ -202,7 +189,7 @@ def _train(model: EncoderModel, data: np.ndarray, targets: np.ndarray,
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} batch {b}")
             np.concatenate(list(model.backward(dpred).values()), axis=None,
-                           out=grads["all"])
+                           out=grads)
             adam_step(state, params, grads, lr)
             batch_log.append(LossRecord(epoch, b, loss, lr))
             losses.append(loss)

@@ -15,8 +15,8 @@ at every step and frozen only at export time.
 
 The architecture is an input projection, ``num_blocks`` residual blocks
 (layer_norm -> linear -> gelu -> linear -> residual add), and an output
-projection, with an optional L2 normalization switch used at retrieval
-time (off during training, where the loss runs on raw outputs).
+projection. Both encoders emit raw outputs: training runs its loss on them,
+and retrieval L2-normalizes them itself (``ann.normalize_rows``).
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ class LinearLayer:
             return self.weight, None
         return ternary_dense(self.weight, self.beta)  # gamma rounded to float32
 
-    def ternary_export(self, bias: bool = True) -> PackedTernaryMatrix:
+    def ternary_export(self) -> PackedTernaryMatrix:
         gamma = compute_threshold(self.weight, self.beta)
-        return pack(ternarize(self.weight, gamma), self.bias if bias else None)
+        return pack(ternarize(self.weight, gamma), self.bias)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         w_eff, gamma = self.effective_weight()
@@ -159,7 +159,7 @@ class ResidualBlock:
     def forward(self, h: np.ndarray) -> np.ndarray:
         u, ln_cache = tensor.layer_norm_with_cache(h, self.ln_gain, self.ln_shift)
         a1 = self.fc1.forward(u)
-        z, cdf = tensor.gelu_with_cache(a1)
+        z, cdf = tensor.gelu(a1)
         # the float32 derivative takes a1's place in the cache, so erf runs
         # once per step and the cache grows by nothing
         self._cache = (ln_cache, tensor.gelu_grad(a1, cdf))
@@ -187,16 +187,13 @@ class ResidualBlock:
 
 class EncoderModel:
     def __init__(self, config: EncoderConfig, input_proj: LinearLayer,
-                 blocks: list[ResidualBlock], output_proj: LinearLayer,
-                 normalize: bool = False):
+                 blocks: list[ResidualBlock], output_proj: LinearLayer):
         if len(blocks) != config.num_blocks:
             raise ValueError(f"expected {config.num_blocks} blocks, got {len(blocks)}")
         self.config = config
         self.input_proj = input_proj
         self.blocks = blocks
         self.output_proj = output_proj
-        self.normalize = normalize
-        self._cache = None
         # the same order as part_shapes
         parts = [input_proj, *(p for blk in blocks for p in (blk, blk.fc1, blk.fc2)),
                  output_proj]
@@ -209,8 +206,7 @@ class EncoderModel:
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray],
-                    mode: str = MODE_FULL, beta: float = DEFAULT_BETA,
-                    normalize: bool = False) -> "EncoderModel":
+                    mode: str = MODE_FULL, beta: float = DEFAULT_BETA) -> "EncoderModel":
         """Build a model from a name -> array mapping keyed like parameters()."""
         parts = iter([[arrays[f"{name}.{attr}"] for attr in shapes]
                       for name, shapes in part_shapes(config)])
@@ -221,7 +217,7 @@ class EncoderModel:
         input_proj = linear()
         blocks = [ResidualBlock(*next(parts), linear(), linear())
                   for _ in range(config.num_blocks)]
-        return cls(config, input_proj, blocks, linear(), normalize)
+        return cls(config, input_proj, blocks, linear())
 
     @classmethod
     def init(cls, config: EncoderConfig) -> "EncoderModel":
@@ -281,18 +277,11 @@ class EncoderModel:
         h = self.input_proj.forward(x)
         for blk in self.blocks:
             h = blk.forward(h)
-        out = self.output_proj.forward(h)
-        self._cache = None
-        if self.normalize:
-            out, norms = tensor.l2_normalize(out)
-            self._cache = (out.astype(np.float64), norms)
-        return out
+        return self.output_proj.forward(h)
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
         if self.output_proj._cache is None:
             raise RuntimeError("backward called before forward")
-        if self.normalize:
-            d_out = _l2_normalize_backward(d_out, self._cache)
         dh = self.output_proj.backward(d_out)
         for blk in reversed(self.blocks):
             dh = blk.backward(dh)
@@ -334,7 +323,7 @@ class PackedEncoder:
     """Frozen inference-only encoder running every linear via the bit-plane kernel."""
 
     def __init__(self, config: EncoderConfig, packed_layers: list[PackedTernaryMatrix],
-                 ln_params: list[tuple[np.ndarray, np.ndarray]], normalize: bool = False):
+                 ln_params: list[tuple[np.ndarray, np.ndarray]]):
         if len(packed_layers) != 2 * config.num_blocks + 2:
             raise ValueError("wrong number of packed layers for the architecture")
         if len(ln_params) != config.num_blocks:
@@ -342,12 +331,11 @@ class PackedEncoder:
         self.config = config
         self.packed_layers = packed_layers
         self.ln_params = ln_params
-        self.normalize = normalize
 
     @classmethod
     def from_model(cls, model: EncoderModel) -> "PackedEncoder":
         ln = [(blk.ln_gain.copy(), blk.ln_shift.copy()) for blk in model.blocks]
-        return cls(model.config, export_packed(model), ln, model.normalize)
+        return cls(model.config, export_packed(model), ln)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=tensor.FLOAT)
@@ -359,19 +347,9 @@ class PackedEncoder:
         for gain, shift in self.ln_params:
             u = tensor.layer_norm(h, gain, shift)
             a1 = packed_gemm(next(layers), u.T).T
-            z = tensor.gelu(a1)
+            z, _ = tensor.gelu(a1)
             h = h + packed_gemm(next(layers), z.T).T
-        out = packed_gemm(next(layers), h.T).T
-        if self.normalize:
-            out, _ = tensor.l2_normalize(out)
-        return out
-
-
-def _l2_normalize_backward(dy: np.ndarray, cache) -> np.ndarray:
-    y64, norms = cache
-    dy64 = dy.astype(np.float64)
-    inner = (dy64 * y64).sum(axis=1, keepdims=True)
-    return ((dy64 - y64 * inner) / norms).astype(dy.dtype)
+        return packed_gemm(next(layers), h.T).T
 
 
 def model_digest(model: EncoderModel) -> str:

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                       PackedEncoder, export_packed, part_shapes)
 from .packed import PackedTernaryMatrix, row_bytes
 from .tensor import FLOAT
+from .ternary import DEFAULT_BETA
 
 MAGIC_TENSOR = b"TERN"
 MAGIC_PACKED = b"TPKD"
@@ -282,7 +284,8 @@ def _write_checkpoint(path, model: EncoderModel, mode: str, records, meta: dict)
         "format": CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
         "mode": mode,
-        "normalize": bool(model.normalize),
+        # kept so every file stays byte-identical: encoders emit raw outputs
+        "normalize": False,
         "config": model.config.to_dict(),
         "entries": [{"name": name, "kind": kind} for name, kind, _ in entries],
         "sha256": _file_sha256(path),
@@ -350,6 +353,8 @@ def load_checkpoint(path):
     mode = meta["mode"]
     if mode not in ("dense", "packed"):
         raise ConfigError(f"unknown checkpoint mode {mode!r}")
+    if meta.get("normalize", False) is not False:
+        raise ConfigError(f"normalize must be false, got {meta['normalize']!r}")
     try:
         listed = [(e["name"], e["kind"]) for e in meta["entries"]]
     except (KeyError, TypeError) as e:
@@ -376,21 +381,21 @@ def load_checkpoint(path):
         if f.read(1):
             raise IntegrityError("trailing bytes after checkpoint records")
 
-    normalize = meta.get("normalize", False)
     if mode == "packed":
         parts = part_shapes(config)
         packed = [records[name] for name, shapes in parts if "weight" in shapes]
         ln = [tuple(records[f"{name}.{attr}"] for attr in shapes)
               for name, shapes in parts if "weight" not in shapes]
-        return PackedEncoder(config, packed, ln, normalize)
+        return PackedEncoder(config, packed, ln)
     linear_mode = meta.get("linear_mode", MODE_FULL)
     if linear_mode not in (MODE_FULL, MODE_TERNARY):
         raise ConfigError(f"unknown linear mode {linear_mode!r}")
-    try:
-        beta = float(meta.get("beta", 2.0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad beta in sidecar: {e}") from e
-    return EncoderModel.from_arrays(config, records, linear_mode, beta, normalize)
+    beta = meta.get("beta", DEFAULT_BETA)
+    # bool is an int subclass; the bounds also reject nan, inf and huge ints
+    number = isinstance(beta, (int, float)) and not isinstance(beta, bool)
+    if not (number and 0 < beta <= sys.float_info.max):
+        raise ConfigError(f"beta must be a finite positive number, got {beta!r}")
+    return EncoderModel.from_arrays(config, records, linear_mode, float(beta))
 
 
 def checkpoint_total_bytes(path) -> int:

@@ -1,9 +1,9 @@
 """Dense numeric foundation.
 
 A matrix here is a 2-D, C-contiguous ``float32`` numpy array with positive
-dimensions. Every operation validates shapes, accumulates in float64, and
-rounds the result back to the input precision, so results are deterministic
-and independent of BLAS blocking.
+dimensions. Every operation validates shapes, accumulates in float64 and
+rounds once back to the input precision. BLAS picks a product's float64
+summation order, so float32 products can differ between BLAS builds.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation.
-
-    The result is rounded to the common dtype of the inputs, so float32
-    inputs give a float32 product whose every entry is the correctly
-    rounded float64 dot product.
+    """Matrix product with float64 accumulation, rounded once to the inputs'
+    common dtype. BLAS picks the order of each float64 sum, so an entry can
+    differ by one float32 step between BLAS builds.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -61,18 +59,10 @@ def gaussian_fill(rng: Rng, rows: int, cols: int, sigma: float) -> np.ndarray:
     return rng.normals(rows * cols, sigma=sigma).reshape(rows, cols).astype(FLOAT)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian error linear unit: x * Phi(x)."""
-    x = np.asarray(x)
-    x64 = x.astype(np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 * _INV_SQRT2))).astype(x.dtype)
+def gelu(x: np.ndarray):
+    """Exact GELU x * Phi(x), plus the float64 Phi(x) that gelu_grad takes.
 
-
-def gelu_with_cache(x: np.ndarray):
-    """gelu plus the float64 Phi(x) that gelu_grad takes.
-
-    x * Phi(x) here and 0.5 * x * (1 + erf) in gelu round the same exact
-    product (both scalings by 0.5 are exact), so the outputs are identical.
+    x * Phi(x) rounds the same exact product as 0.5 * x * (1 + erf(x / sqrt 2)).
     """
     x = np.asarray(x)
     x64 = x.astype(np.float64)
@@ -81,26 +71,24 @@ def gelu_with_cache(x: np.ndarray):
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dx of gelu: Phi(x) + x * phi(x), with Phi(x) from gelu_with_cache."""
+    """d/dx of gelu: Phi(x) + x * phi(x), with Phi(x) from gelu."""
     x = np.asarray(x)
     x64 = x.astype(np.float64)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x64 * x64)
     return (cdf + x64 * pdf).astype(x.dtype)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize each row to zero mean / unit variance, then apply gain + shift.
 
-    A constant row has zero variance; eps keeps the division finite and the
-    normalized row comes out all-zero.
+    A constant row has zero variance; LAYER_NORM_EPS keeps the division
+    finite and the normalized row comes out all-zero.
     """
-    y, _ = layer_norm_with_cache(x, gain, shift, eps)
+    y, _ = layer_norm_with_cache(x, gain, shift)
     return y
 
 
-def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
-                          eps: float = LAYER_NORM_EPS):
+def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     """layer_norm plus the (centered, inv_std, normalized) cache the backward pass needs."""
     x = np.asarray(x)
     if x.ndim != 2:
@@ -111,20 +99,8 @@ def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
     mean = x64.mean(axis=1, keepdims=True)
     centered = x64 - mean
     var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv_std
     y = (normed * gain.astype(np.float64) + shift.astype(np.float64)).astype(x.dtype)
     return y, (normed, inv_std)
 
-
-def l2_normalize(x: np.ndarray):
-    """Scale each row to unit L2 norm in float64, rounded back to x's dtype.
-
-    Zero rows stay zero. Also returns the (rows, 1) float64 divisors, with
-    1 standing in for zero norms, which the backward pass divides by.
-    """
-    x = np.asarray(x)
-    x64 = x.astype(np.float64, copy=False)
-    norms = np.sqrt((x64 * x64).sum(axis=1, keepdims=True))
-    norms = np.where(norms > 0.0, norms, 1.0)
-    return (x64 / norms).astype(x.dtype), norms

@@ -454,3 +454,10 @@ def test_build_index_covers_all_kinds():
         got = index.search(q, 5)
         assert len(got) == 5
         assert got[0] == 3  # self is always nearest for these indexes
+
+
+def test_normalize_rows_unit_rows_and_zero_rows():
+    x = np.array([[3.0, 4.0], [0.0, 0.0]], np.float32)
+    y = ann.normalize_rows(x)
+    assert y.dtype == np.float32
+    assert np.array_equal(y, np.array([[0.6, 0.8], [0.0, 0.0]], np.float32))

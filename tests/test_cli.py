@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -280,17 +281,32 @@ def test_eval_retrieval_rejects_labels_that_are_not_ids(capsys, tmp_path, task_f
     assert "labels" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda meta: meta.pop("sha256"),
-    lambda meta: meta["entries"][0].update(name="renamed"),
-    lambda meta: meta["config"].pop("seed"),
-], ids=["no_sha256", "renamed_entry", "no_config_seed"])
-def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, edit):
+SIDECAR_EDITS = {
+    "no_sha256": lambda meta: meta.pop("sha256"),
+    "renamed_entry": lambda meta: meta["entries"][0].update(name="renamed"),
+    "no_config_seed": lambda meta: meta["config"].pop("seed"),
+    "normalize_true": lambda meta: meta.update(normalize=True),
+    "normalize_no": lambda meta: meta.update(normalize="no"),
+}
+BAD_BETAS = {"string": "2", "nan": math.nan, "zero": 0, "negative": -1, "inf": math.inf}
+
+
+# packed cases carry the bare edit name; dense ones, which also check beta, a prefix
+@pytest.mark.parametrize("kind, edit", [
+    *(pytest.param("packed", edit, id=name) for name, edit in SIDECAR_EDITS.items()),
+    *(pytest.param("dense", edit, id=f"dense-{name}") for name, edit in SIDECAR_EDITS.items()),
+    *(pytest.param("dense", lambda meta, v=value: meta.update(beta=v), id=f"dense-beta_{name}")
+      for name, value in BAD_BETAS.items()),
+])
+def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, kind, edit):
     teacher, data, labels = task_files
-    model = tmp_path / "student.tckpt"
-    storage.save_ternary_checkpoint(
-        model, replace_linears(storage.load_checkpoint(teacher), MODE_TERNARY))
-    sidecar = tmp_path / "student.tckpt.json"
+    model = tmp_path / "model.ckpt"
+    if kind == "packed":
+        storage.save_ternary_checkpoint(
+            model, replace_linears(storage.load_checkpoint(teacher), MODE_TERNARY))
+    else:
+        storage.save_checkpoint(model, storage.load_checkpoint(teacher))
+    sidecar = tmp_path / "model.ckpt.json"
     meta = json.loads(sidecar.read_text())
     edit(meta)
     sidecar.write_text(json.dumps(meta))

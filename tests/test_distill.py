@@ -85,30 +85,30 @@ def test_config_integer_fields_take_numpy_integers():
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    params = {"w": np.array([1.0, -2.0], np.float32)}
+    params = np.array([1.0, -2.0], np.float32)
     state = AdamState.initialize(params)
-    adam_step(state, params, {"w": np.zeros(2, np.float32)}, lr=0.1)
-    assert np.array_equal(params["w"], np.array([1.0, -2.0], np.float32))
+    adam_step(state, params, np.zeros(2, np.float32), lr=0.1)
+    assert np.array_equal(params, np.array([1.0, -2.0], np.float32))
 
 
 def test_adam_hand_step():
-    params = {"w": np.array([0.0], np.float32)}
+    params = np.array([0.0], np.float32)
     state = AdamState.initialize(params)
-    adam_step(state, params, {"w": np.array([1.0], np.float32)}, lr=0.1)
+    adam_step(state, params, np.array([1.0], np.float32), lr=0.1)
     # bias correction makes m_hat = v_hat = 1 at t=1, so the step is -lr
-    assert params["w"][0] == pytest.approx(-0.1, abs=1e-6)
+    assert params[0] == pytest.approx(-0.1, abs=1e-6)
     assert state.t == 1
 
 
 def test_adam_deterministic_trajectories():
     def run():
-        params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        params = np.arange(6, dtype=np.float32).reshape(2, 3)
         state = AdamState.initialize(params)
         rng = Rng(33)
         for _ in range(25):
             g = rng.normals(6).reshape(2, 3).astype(np.float32)
-            adam_step(state, params, {"w": g}, lr=0.01)
-        return params["w"]
+            adam_step(state, params, g, lr=0.01)
+        return params
 
     assert np.array_equal(run(), run())
 

@@ -105,27 +105,6 @@ def test_full_precision_gradients_match_finite_differences():
         assert rel <= 1e-3, f"{name}: rel err {rel}"
 
 
-def test_gradients_with_output_normalization():
-    model = EncoderModel.init(EncoderConfig(6, 6, 6, 1, seed=9)).astype(np.float64)
-    model.normalize = True
-    rng = Rng(22)
-    x = rng.normals(3 * 6).reshape(3, 6)
-    target = rng.normals(3 * 6).reshape(3, 6)
-    _, dpred = mse_loss(model.forward(x), target)
-    analytic = model.backward(dpred)
-    fd = finite_difference_grads(model, x, target, h=1e-4)
-    for name in analytic:
-        scale = max(np.abs(analytic[name]).max(), np.abs(fd[name]).max(), 1e-8)
-        assert np.abs(analytic[name] - fd[name]).max() / scale <= 1e-3
-
-
-def test_normalized_outputs_are_unit_rows():
-    model = EncoderModel.init(small_config())
-    model.normalize = True
-    out = model.forward(random_matrix(Rng(2), 5, 8))
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-5)
-
-
 def test_architecture_parity_and_clone():
     teacher = EncoderModel.init(small_config())
     student = replace_linears(teacher.clone(), MODE_TERNARY, 2.0)

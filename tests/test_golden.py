@@ -1,16 +1,17 @@
 """Golden guard: checkpoint bytes, sidecars, model digests, packed kernel
-outputs, distillation trajectories and the indexes and top-k results of every
-retrieval path are pinned.
+outputs, encoder forward outputs, distillation trajectories and the indexes
+and top-k results of every retrieval path are pinned.
 
 The weights and inputs come from ``Rng.uniforms_open``, whose draws are
 bit-portable (normal variates are only stable per platform), so these hashes
 hold on any platform; the exceptions are the LSH hyperplanes, which
-``lsh_build`` draws as normals, and the distillation trajectories and the
-dense packed operand's products, which hold wherever BLAS and libm float64
-results round to the same float32 values. A change to either checkpoint
-writer, the sidecar layout, the parameter walk, the rounding of the packed
-kernel, the arithmetic of a training step, or the ids and tie order an index
-returns shows up here as a hash mismatch.
+``lsh_build`` draws as normals, and the encoder forward outputs, the
+distillation trajectories and the dense packed operand's products, which
+hold wherever BLAS and libm float64 results round to the same float32
+values. A change to either checkpoint writer, the sidecar layout, the
+parameter walk, the rounding of the packed kernel or of a forward pass, the
+arithmetic of a training step, or the ids and tie order an index returns
+shows up here as a hash mismatch.
 """
 
 import hashlib
@@ -26,8 +27,8 @@ from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_sea
                          hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
                          lsh_search)
 from ternkit.distill import TrainConfig, _train, distill
-from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, model_digest,
-                             replace_linears)
+from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, PackedEncoder,
+                             model_digest, replace_linears)
 from ternkit.packed import pack, packed_gemm, packed_gemv
 from ternkit.rng import Rng
 from ternkit.ternary import TernaryMatrix, compute_threshold, ternarize
@@ -260,3 +261,33 @@ def test_golden_distill():
     got["teacher-fit"] = (epoch_losses, _log_digest(log), model_digest(fit))
     assert got == DISTILL
     assert model_digest(teacher) == MODEL_DIGEST
+
+
+# -- encoder forward -------------------------------------------------------------
+
+FORWARD = {
+    "full-b1": "2e5a2fad7a8c183fb00b64d4bf86b3efae1e8f987a6709022ae5238b97324ac6",
+    "full-b23": "6bb1eb21f1bf03e096fc30903f94c6940e25b3c6ea4015257083ce3c5d35b2e7",
+    "ste-beta2.0-b1": "b6ae6a6ce1fa682c4a7f60523b3f0999aa6c513e39fa5d79bffca39e5f0c6d61",
+    "ste-beta2.0-b23": "06e93b151746edd2b03154f0cbea7f99aa9a445e978634af0625ae46f8d42ad7",
+    "ste-beta0.75-b1": "26e61c69a3d354870a327f5376c7b87a1105aaa3aae5c16d2a9b264aabedbfe1",
+    "ste-beta0.75-b23": "137aa90e9f22a3c18a244ac7a0e2e4218a13cf926cb6540500307cc151ec42da",
+    "packed-beta2.0-b1": "b6ae6a6ce1fa682c4a7f60523b3f0999aa6c513e39fa5d79bffca39e5f0c6d61",
+    "packed-beta2.0-b23": "06e93b151746edd2b03154f0cbea7f99aa9a445e978634af0625ae46f8d42ad7",
+    "packed-beta0.75-b1": "43d6d0e8fff4d62adf2b4c87abcb4b720cd9d7b5d44d6edc899eda14c1d12899",
+    "packed-beta0.75-b23": "0e78eb788da017461692cce589bc417b604590456e134da5e8ad54fd4131ee82",
+}
+
+
+def test_golden_forward_outputs():
+    """Output bytes of the full-precision, STE and packed forward passes of
+    golden_model() at batch 1 and at a 23-row batch."""
+    x = _uniform(Rng(55), 23, 9)
+    models = {"full": golden_model()}
+    for beta in (2.0, 0.75):
+        ste = replace_linears(golden_model(), MODE_TERNARY, beta)
+        models[f"ste-beta{beta}"] = ste
+        models[f"packed-beta{beta}"] = PackedEncoder.from_model(ste)
+    got = {f"{name}-b{len(rows)}": _digest(model.forward(rows).astype("<f4"))
+           for name, model in models.items() for rows in (x[:1], x)}
+    assert got == FORWARD

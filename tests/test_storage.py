@@ -211,6 +211,22 @@ def test_dense_checkpoint_preserves_linear_mode(tmp_path):
     assert np.array_equal(back.forward(x), want)
 
 
+def test_dense_sidecar_without_normalize_and_with_integer_beta_loads(tmp_path):
+    model = replace_linears(EncoderModel.init(EncoderConfig(4, 6, 4, 1, seed=2)),
+                            MODE_TERNARY, 1.0)
+    x = random_matrix(Rng(13), 3, 4)
+    path = tmp_path / "m.ckpt"
+    storage.save_checkpoint(path, model)
+    sidecar = tmp_path / "m.ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["normalize"]
+    meta["beta"] = 1
+    sidecar.write_text(json.dumps(meta))
+    back = storage.load_checkpoint(path)
+    assert all(type(l.beta) is float and l.beta == 1.0 for _, l in back.linear_layers())
+    assert np.array_equal(back.forward(x), model.forward(x))
+
+
 @pytest.mark.parametrize("attr, value", [("beta", 0.75), ("mode", MODE_FULL)])
 def test_dense_checkpoint_rejects_mixed_linear_layers(tmp_path, attr, value):
     model = replace_linears(EncoderModel.init(EncoderConfig(6, 8, 6, 2, seed=2)),
