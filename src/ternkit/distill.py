@@ -185,7 +185,7 @@ def _train(model: EncoderModel, data: np.ndarray, targets: np.ndarray,
         losses = []
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start:start + config.batch_size]
-            loss, dpred = mse_loss(model.forward(data[idx]), targets[idx])
+            loss, dpred = mse_loss(model.train_forward(data[idx]), targets[idx])
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} batch {b}")
             np.concatenate(list(model.backward(dpred).values()), axis=None,

@@ -16,7 +16,9 @@ at every step and frozen only at export time.
 The architecture is an input projection, ``num_blocks`` residual blocks
 (layer_norm -> linear -> gelu -> linear -> residual add), and an output
 projection. Both encoders emit raw outputs: training runs its loss on them,
-and retrieval L2-normalizes them itself (``ann.normalize_rows``).
+and retrieval L2-normalizes them itself (``ann.normalize_rows``). Both
+encoders' ``forward`` is ``infer``, one walk that caches nothing; training
+runs ``EncoderModel.train_forward``, which caches what ``backward`` needs.
 """
 
 from __future__ import annotations
@@ -90,6 +92,20 @@ def part_shapes(config: EncoderConfig) -> list[tuple[str, dict[str, tuple[int, .
     return parts
 
 
+def infer(config: EncoderConfig, x, apply, layers, norms) -> np.ndarray:
+    """The inference pass, caching nothing: ``apply(layer, rows)`` runs each of
+    ``layers`` in part_shapes order, ``norms`` holds each block's (gain, shift)."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise ValueError(f"input must be (n, {config.input_dim}), got {x.shape}")
+    layer = iter(layers)
+    h = apply(next(layer), x)
+    for gain, shift in norms:
+        z, _ = tensor.gelu(apply(next(layer), tensor.layer_norm(h, gain, shift)))
+        h = h + apply(next(layer), z)
+    return apply(next(layer), h)
+
+
 class LinearLayer:
     """y = x @ W_eff.T + b where W_eff is W or gamma * f(W | gamma)."""
 
@@ -107,14 +123,6 @@ class LinearLayer:
         self.grad_bias: np.ndarray | None = None
         self._cache = None
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
     def effective_weight(self) -> tuple[np.ndarray, float | None]:
         """Weight the forward pass applies, plus gamma in ternary mode."""
         if self.mode == MODE_FULL:
@@ -124,6 +132,10 @@ class LinearLayer:
     def ternary_export(self) -> PackedTernaryMatrix:
         gamma = compute_threshold(self.weight, self.beta)
         return pack(ternarize(self.weight, gamma), self.bias)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The layer's output, caching nothing (inference); forward caches."""
+        return tensor.matmul(x, self.effective_weight()[0].T) + self.bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         w_eff, gamma = self.effective_weight()
@@ -162,23 +174,20 @@ class ResidualBlock:
         z, cdf = tensor.gelu(a1)
         # the float32 derivative takes a1's place in the cache, so erf runs
         # once per step and the cache grows by nothing
-        self._cache = (ln_cache, tensor.gelu_grad(a1, cdf))
+        self._cache = (*ln_cache, tensor.gelu_grad(a1, cdf))
         return h + self.fc2.forward(z)
 
     def backward(self, dh_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        ln_cache, dgelu = self._cache
+        normed, inv_std, dgelu = self._cache
         dz = self.fc2.backward(dh_out)
-        da1 = dz * dgelu
-        du = self.fc1.backward(da1)
+        du = self.fc1.backward(dz * dgelu)
 
-        normed, inv_std = ln_cache
         du64 = du.astype(np.float64)
-        gain64 = self.ln_gain.astype(np.float64)
         self.grad_ln_gain = (du64 * normed).sum(axis=0).astype(self.ln_gain.dtype)
         self.grad_ln_shift = du64.sum(axis=0).astype(self.ln_shift.dtype)
-        dnormed = du64 * gain64
+        dnormed = du64 * self.ln_gain.astype(np.float64)
         mean_dn = dnormed.mean(axis=1, keepdims=True)
         mean_dn_n = (dnormed * normed).mean(axis=1, keepdims=True)
         dh_ln = (inv_std * (dnormed - mean_dn - normed * mean_dn_n)).astype(dh_out.dtype)
@@ -270,25 +279,24 @@ class EncoderModel:
     # -- compute -----------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"input must be (n, {self.config.input_dim}), got {x.shape}")
+        """Inference: ``infer`` over each linear layer's cache-free apply."""
+        return infer(self.config, x, LinearLayer.apply,
+                     [layer for _, layer in self.linear_layers()],
+                     [(blk.ln_gain, blk.ln_shift) for blk in self.blocks])
+
+    def train_forward(self, x: np.ndarray) -> np.ndarray:
+        """Training: every layer and block caches what backward needs."""
         h = self.input_proj.forward(x)
         for blk in self.blocks:
             h = blk.forward(h)
         return self.output_proj.forward(h)
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        if self.output_proj._cache is None:
-            raise RuntimeError("backward called before forward")
         dh = self.output_proj.backward(d_out)
         for blk in reversed(self.blocks):
             dh = blk.backward(dh)
         self.input_proj.backward(dh)
         return self.gradients()
-
-    # -- precision switching and export -------------------------------------
 
     def clone(self) -> "EncoderModel":
         return copy.deepcopy(self)
@@ -338,18 +346,9 @@ class PackedEncoder:
         return cls(model.config, export_packed(model), ln)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=tensor.FLOAT)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"input must be (n, {self.config.input_dim}), got {x.shape}")
-        layers = iter(self.packed_layers)
-        h = packed_gemm(next(layers), x.T).T
-        for gain, shift in self.ln_params:
-            u = tensor.layer_norm(h, gain, shift)
-            a1 = packed_gemm(next(layers), u.T).T
-            z, _ = tensor.gelu(a1)
-            h = h + packed_gemm(next(layers), z.T).T
-        return packed_gemm(next(layers), h.T).T
+        # packed_gemm is looked up per call, so a rebound module attribute sees every call
+        return infer(self.config, x, lambda p, v: packed_gemm(p, v.T).T,
+                     self.packed_layers, self.ln_params)
 
 
 def model_digest(model: EncoderModel) -> str:

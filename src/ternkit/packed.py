@@ -22,11 +22,15 @@ only where they agree.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .tensor import FLOAT
 from .ternary import TernaryMatrix
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # On-disk record overhead: magic(4) + version(2) + rows(4) + cols(4) + bias flag(1).
 PACKED_RECORD_HEADER_BYTES = 15
@@ -95,6 +99,8 @@ class PackedTernaryMatrix:
             if np.count_nonzero(trits) >= _DENSE_MIN_FILL * self.rows * self.cols:
                 self._operand = trits.astype(np.float64)
             else:
+                # imported here: a model whose layers are all dense never loads scipy.sparse
+                from scipy import sparse
                 self._operand = sparse.csr_matrix(trits, dtype=np.float64)
         return self._operand
 

@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 
@@ -49,6 +50,11 @@ DTYPE_F32 = 0
 DTYPE_U8 = 2
 
 CHECKPOINT_FORMAT = "ternkit-checkpoint"
+
+# the keys a sidecar may hold, by checkpoint mode; the loader rejects any other
+_PACKED_SIDECAR_KEYS = {"format", "version", "mode", "normalize", "config", "entries", "sha256"}
+_SIDECAR_KEYS = {"packed": _PACKED_SIDECAR_KEYS,
+                 "dense": _PACKED_SIDECAR_KEYS | {"linear_mode", "beta"}}
 
 
 class FormatError(Exception):
@@ -338,6 +344,14 @@ def _load_sidecar(path) -> dict:
     missing = [k for k in ("sha256", "mode", "entries", "config") if k not in meta]
     if missing:
         raise ConfigError(f"sidecar lacks {', '.join(missing)}")
+    mode = meta["mode"]
+    if mode not in ("dense", "packed"):  # by equality, so a list or dict mode fails here too
+        raise ConfigError(f"unknown checkpoint mode {mode!r}")
+    unknown = sorted(meta.keys() - _SIDECAR_KEYS[mode])
+    if unknown:
+        raise ConfigError(f"keys not allowed in a {mode} sidecar: {', '.join(unknown)}")
+    if not (isinstance(meta["sha256"], str) and re.fullmatch("[0-9a-f]{64}", meta["sha256"])):
+        raise ConfigError(f"sha256 must be 64 lowercase hex digits, got {meta['sha256']!r}")
     return meta
 
 
@@ -351,8 +365,6 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad config in sidecar: {e}") from e
     mode = meta["mode"]
-    if mode not in ("dense", "packed"):
-        raise ConfigError(f"unknown checkpoint mode {mode!r}")
     if meta.get("normalize", False) is not False:
         raise ConfigError(f"normalize must be false, got {meta['normalize']!r}")
     try:

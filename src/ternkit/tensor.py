@@ -89,7 +89,8 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
 
 
 def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
-    """layer_norm plus the (centered, inv_std, normalized) cache the backward pass needs."""
+    """layer_norm plus the (normed, inv_std) cache the backward pass needs: the
+    float64 normalized rows and each row's float64 1 / sqrt(var + eps)."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"layer_norm expects a 2-D batch, got shape {x.shape}")

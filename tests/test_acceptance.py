@@ -152,7 +152,7 @@ def test_criterion_04_gradient_correctness():
     rng = Rng(9014)
     x = rng.normals(4 * 8).reshape(4, 8)
     target = rng.normals(4 * 8).reshape(4, 8)
-    _, dpred = mse_loss(model.forward(x), target)
+    _, dpred = mse_loss(model.train_forward(x), target)
     analytic = model.backward(dpred)
     fd = finite_difference_grads(model, x, target, h=1e-3)
     worst = 0.0

@@ -287,6 +287,7 @@ SIDECAR_EDITS = {
     "no_config_seed": lambda meta: meta["config"].pop("seed"),
     "normalize_true": lambda meta: meta.update(normalize=True),
     "normalize_no": lambda meta: meta.update(normalize="no"),
+    "unknown_keys": lambda meta: meta.update(beta="garbage", linear_mode="bogus", bogus_key=1),
 }
 BAD_BETAS = {"string": "2", "nan": math.nan, "zero": 0, "negative": -1, "inf": math.inf}
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,10 +88,30 @@ def test_backward_before_forward_errors():
         model.backward(np.zeros((2, 8), np.float32))
 
 
+def test_inference_forward_caches_nothing():
+    model = replace_linears(EncoderModel.init(small_config()), MODE_TERNARY, 2.0)
+    out = model.forward(random_matrix(Rng(5), 4, 8))
+    parts = [*(layer for _, layer in model.linear_layers()), *model.blocks]
+    assert len(parts) == 3 * model.config.num_blocks + 2
+    assert all(p._cache is None for p in parts)
+    with pytest.raises(RuntimeError):
+        model.backward(np.zeros_like(out))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_TERNARY])
+def test_forward_equals_train_forward_bitwise(mode, dtype):
+    model = replace_linears(EncoderModel.init(small_config()), mode, 2.0).astype(dtype)
+    x = random_matrix(Rng(7), 6, 8).astype(dtype)
+    got, want = model.forward(x), model.train_forward(x)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_upstream_gradient_gives_zero_grads():
     model = EncoderModel.init(small_config())
     x = random_matrix(Rng(5), 4, 8)
-    out = model.forward(x)
+    out = model.train_forward(x)
     grads = model.backward(np.zeros_like(out))
     assert all(np.abs(g).max() == 0.0 for g in grads.values())
 
@@ -96,7 +121,7 @@ def test_full_precision_gradients_match_finite_differences():
     rng = Rng(21)
     x = rng.normals(4 * 8).reshape(4, 8)
     target = rng.normals(4 * 8).reshape(4, 8)
-    loss, dpred = mse_loss(model.forward(x), target)
+    loss, dpred = mse_loss(model.train_forward(x), target)
     analytic = model.backward(dpred)
     fd = finite_difference_grads(model, x, target, h=1e-3)
     for name in analytic:
@@ -195,3 +220,25 @@ def test_ternary_forward_rejects_non_finite_weight(bad):
     layer.weight[3, 1] = bad
     with pytest.raises(ValueError):
         layer.forward(np.ones((2, 4), np.float32))
+
+
+# a fresh interpreter, so modules other tests imported do not count
+SPARSE_PROBE = """
+import sys
+import numpy as np
+from ternkit.encoder import EncoderConfig, EncoderModel, MODE_TERNARY, PackedEncoder, replace_linears
+model = replace_linears(EncoderModel.init(EncoderConfig(32, 32, 32, 2, seed=5)), MODE_TERNARY, {beta})
+packed = PackedEncoder.from_model(model)
+packed.forward(np.ones((3, 32), np.float32))
+print(sorted({{isinstance(p.operand(), np.ndarray) for p in packed.packed_layers}}),
+      "scipy.sparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("beta, dense, loaded", [(0.75, True, False), (2.0, False, True)])
+def test_scipy_sparse_loads_only_for_a_csr_layer(beta, dense, loaded):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", SPARSE_PROBE.format(beta=beta)], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == [f"[{dense}]", str(loaded)]

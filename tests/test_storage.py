@@ -341,3 +341,31 @@ def test_checkpoint_sidecar_missing_key_is_config_error(tmp_path, key):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(ConfigError):
         storage.load_checkpoint(path)
+
+
+# the edit that once loaded silently: keys the packed writer never writes, and one no writer does
+FOUND_EDIT = {"beta": "garbage", "linear_mode": "bogus", "bogus_key": 1}
+
+
+@pytest.mark.parametrize("save, edit", [
+    pytest.param(storage.save_ternary_checkpoint, FOUND_EDIT, id="packed-edited"),
+    pytest.param(storage.save_ternary_checkpoint, {"beta": 2.0}, id="packed-beta"),
+    pytest.param(storage.save_ternary_checkpoint, {"linear_mode": MODE_TERNARY},
+                 id="packed-linear_mode"),
+    pytest.param(storage.save_checkpoint, {"bogus_key": 1}, id="dense-unknown_key"),
+    *(pytest.param(save, {"sha256": bad}, id=f"{kind}-sha256_{name}")
+      for kind, save in (("dense", storage.save_checkpoint),
+                         ("packed", storage.save_ternary_checkpoint))
+      for name, bad in (("short", "ab" * 31), ("upper", "AB" * 32), ("non_hex", "zz" * 32),
+                        ("number", 7), ("newline", "ab" * 32 + "\n"))),
+])
+def test_sidecar_outside_schema_is_config_error(tmp_path, save, edit):
+    model = replace_linears(EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=12)),
+                            MODE_TERNARY, 2.0)
+    path = tmp_path / "m.ckpt"
+    save(path, model)
+    storage.load_checkpoint(path)
+    sidecar = tmp_path / "m.ckpt.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    with pytest.raises(ConfigError):
+        storage.load_checkpoint(path)
