@@ -18,13 +18,20 @@ and the tie order equal those of the unscreened computation bit for bit, and
 exhaustively-probed IVF reproduces brute force, tie order included.
 Non-finite stores and queries skip the screen.
 
+HNSW inserts and queries walk each layer with one frontier-batched beam, in
+the manner of DiskANN's beam search (Subramanya et al., NeurIPS 2019) but
+within one query. Each round expands every beam member not yet expanded at
+once: one gather of their rows from the layer's padded int32 adjacency
+array, one `_sq_dists` call for the ids no round has seen, and a trim back
+to the ef nearest by (distance, id). The walk ends when every member has
+been expanded. A beam of one is the greedy descent of the upper layers.
+
 Embeddings are L2-normalized before indexing in the evaluation harness, so
 L2 ranking coincides with cosine ranking.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -65,9 +72,11 @@ class VectorStore:
 
 
 def _sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared L2 distances, float64. Row-wise, so subsets reproduce exactly."""
+    """Squared L2 distances over the last axis, float64. Row-wise, so subsets
+    (and stacks of rows) reproduce exactly."""
     diff = np.asarray(vectors, dtype=np.float64) - np.asarray(query, dtype=np.float64)
-    return (diff * diff).sum(axis=1)
+    diff *= diff
+    return np.add.reduce(diff, axis=-1)
 
 
 # The screen's bound. Take u = 2^-53, gamma_n = n*u / (1 - n*u), the model
@@ -132,16 +141,25 @@ def _check_query(query: np.ndarray, store: VectorStore, k: int | None = None) ->
     return query
 
 
-def _rank(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
-    """ids sorted by (distance, id) ascending, truncated to k."""
-    if dists.size > k:
+# up to this many entries one lexsort of them all is faster than the
+# partition pre-selection (the HNSW beams and IVF's centroid ranking)
+_SORT_ALL_UP_TO = 256
+
+
+def _order(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest (distance, id) pairs, in ascending order."""
+    if dists.size > max(k, _SORT_ALL_UP_TO):
         # only ids at or below the k-th distance can make the top k, ties included;
         # a NaN k-th distance keeps fewer than k, so those fall back to the full sort
-        keep = dists <= np.partition(dists, k - 1)[k - 1]
-        if np.count_nonzero(keep) >= k:
-            ids, dists = ids[keep], dists[keep]
-    order = np.lexsort((ids, dists))
-    return ids[order[:k]]
+        keep = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        if keep.size >= k:
+            return keep[np.lexsort((ids[keep], dists[keep]))[:k]]
+    return np.lexsort((ids, dists))[:k]
+
+
+def _rank(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
+    """ids sorted by (distance, id) ascending, truncated to k."""
+    return ids[_order(ids, dists, k)]
 
 
 # -- flat ---------------------------------------------------------------------
@@ -317,104 +335,128 @@ class HnswParams:
 
 class HnswIndex:
     """Hierarchical NSW graph: geometric levels with multiplier 1/ln(M),
-    greedy descent on upper layers, beam search with ef on layer 0, and
-    simple nearest-neighbor selection when linking (layer 0 keeps up to 2M
-    links, upper layers up to M).
+    greedy descent on upper layers, a beam of ef on layer 0, and simple
+    nearest-neighbor selection when linking (layer 0 keeps up to 2M links,
+    upper layers up to M).
+
+    Each layer's adjacency is one int32 array of shape (n + 1, width): row u
+    holds u's links first, then the sentinel n, and row n is all sentinel.
+    `_deg` counts each row's links. Inserts and searches share `_beam`,
+    which expands its whole frontier (the beam members not yet expanded)
+    per round: one gather of their rows, one distance call for the ids not
+    seen before, then a trim to the ef nearest by (distance, id).
 
     After the last insert the build finalizes layer 0: the adjacency is
     symmetrized (degree-cap eviction during inserts can strand one-way
     edges) and any component cut off from the entry point is reconnected
     through its nearest reachable node. Those repair edges may exceed the
-    degree cap; they guarantee the base layer is connected, so an
-    exhaustive beam reaches every node."""
+    degree cap, so layer 0 is re-packed at its largest degree, each row
+    sorted. They guarantee the base layer is connected, so an exhaustive
+    beam reaches every node."""
 
-    def __init__(self, store: VectorStore, params: HnswParams):
+    def __init__(self, store: VectorStore, params: HnswParams, levels: list[int]):
         self.store = store
         self.params = params
         self._vecs = store.vectors64
-        self.levels: list[int] = []
-        self.neighbors: list[list[list[int]]] = []
+        self.levels = levels
+        n = len(store)
+        widths = [2 * params.M] + [params.M] * max(levels)
+        self._adj = [np.full((n + 1, w), n, dtype=np.int32) for w in widths]
+        self._deg = [np.zeros(n, dtype=np.int64) for _ in widths]
         self.entry = -1
         self.max_level = -1
 
-    def _search_layer(self, q64: np.ndarray, entries: list[int], ef: int,
-                      layer: int) -> list[tuple[float, int]]:
-        visited = set(entries)
-        candidates = list(zip(_sq_dists(self._vecs[entries], q64).tolist(), entries))
-        heapq.heapify(candidates)
-        best = [(-d, e) for d, e in candidates]
-        heapq.heapify(best)
-        while candidates:
-            d, node = heapq.heappop(candidates)
-            if len(best) >= ef and d > -best[0][0]:
-                break
-            fresh = [n for n in self.neighbors[node][layer] if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            for dn, nid in zip(_sq_dists(self._vecs[fresh], q64).tolist(), fresh):
-                if len(best) < ef or dn < -best[0][0]:
-                    heapq.heappush(candidates, (dn, nid))
-                    heapq.heappush(best, (-dn, nid))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-d, n) for d, n in best)
+    @property
+    def neighbors(self) -> list[list[list[int]]]:
+        """neighbors[u][layer]: u's links on each of its layers, as Python ints."""
+        return [[self._adj[lc][u, :self._deg[lc][u]].tolist() for lc in range(level + 1)]
+                for u, level in enumerate(self.levels)]
 
-    def _descend(self, q64: np.ndarray, layer: int) -> list[int]:
-        """Greedy walk from the entry point down to `layer`; returns its entry."""
-        ep = [self.entry]
-        for lc in range(self.max_level, layer, -1):
-            ep = [self._search_layer(q64, ep, 1, lc)[0][1]]
-        return ep
+    def _beam(self, q64: np.ndarray, entries: np.ndarray, ef: int, layer: int) -> np.ndarray:
+        """The ef ids nearest q64 found on `layer` from `entries`, by
+        (distance, id). Each round gathers the rows of every beam member not
+        yet expanded, keeps the ids no round has seen yet, each once, and
+        trims the beam with them back to ef; the members that came in this
+        round are the next round's frontier."""
+        adj, vecs = self._adj[layer], self._vecs
+        # per call, so searches stay reentrant; 0 marks an id not seen yet,
+        # and one array both drops seen ids and dedupes the rest
+        seen = np.zeros(len(vecs) + 1, dtype=np.intp)
+        seen[-1] = -1
+        seen[entries] = -1
+        ids, dists, front = entries, _sq_dists(vecs[entries], q64), entries
+        while front.size:
+            fresh = adj[front].ravel()
+            fresh = fresh[seen[fresh] == 0]
+            if front.size > 1:
+                # rows can share ids: each keeps only the slot that stamped it last
+                slots = np.arange(1, fresh.size + 1)
+                seen[fresh] = slots
+                fresh = fresh[seen[fresh] == slots]
+            else:
+                seen[fresh] = 1
+            ids = np.concatenate((ids, fresh))
+            dists = np.concatenate((dists, _sq_dists(vecs[fresh], q64)))
+            front = fresh
+            if ids.size > ef:
+                keep = _order(ids, dists, ef)
+                front = ids[keep[keep >= ids.size - fresh.size]]
+                ids, dists = ids[keep], dists[keep]
+        return ids[_order(ids, dists, ef)]
 
-    def _nearest(self, node: int, ids: list[int], k: int) -> list[int]:
-        """The k of `ids` nearest to `node`, by (distance, id)."""
-        arr = np.array(ids)
-        return _rank(arr, _sq_dists(self._vecs[arr], self._vecs[node]), k).tolist()
-
-    def _insert(self, i: int, level: int) -> None:
-        self.levels.append(level)
-        self.neighbors.append([[] for _ in range(level + 1)])
+    def _insert(self, i: int) -> None:
+        level = self.levels[i]
         if self.entry < 0:
-            self.entry = i
-            self.max_level = level
+            self.entry, self.max_level = i, level
             return
         q = self._vecs[i]
-        ep = self._descend(q, level)
-        m, m0 = self.params.M, 2 * self.params.M
-        for lc in range(min(level, self.max_level), -1, -1):
-            found = self._search_layer(q, ep, self.params.ef_construction, lc)
-            limit = m0 if lc == 0 else m
-            for _, nid in found[:m]:
-                self.neighbors[i][lc].append(nid)
-                links = self.neighbors[nid][lc]
-                links.append(i)
-                if len(links) > limit:
-                    self.neighbors[nid][lc] = self._nearest(nid, links, limit)
-            ep = [n for _, n in found]
+        m = self.params.M
+        ep = np.array([self.entry], dtype=np.int32)
+        for lc in range(self.max_level, -1, -1):
+            ep = self._beam(q, ep, self.params.ef_construction if lc <= level else 1, lc)
+            if lc > level:
+                continue
+            adj, deg = self._adj[lc], self._deg[lc]
+            links = ep[:m]
+            adj[i, :links.size] = links
+            deg[i] = links.size
+            full = deg[links] == adj.shape[1]
+            room = links[~full]
+            adj[room, deg[room]] = i
+            deg[room] += 1
+            if full.any():
+                # a full node keeps the nearest `width` of its links and i, by (distance, id)
+                full = links[full]
+                cand = np.column_stack((adj[full], np.full(full.size, i, dtype=np.int32)))
+                d = _sq_dists(self._vecs[cand], self._vecs[full][:, None])
+                adj[full] = np.take_along_axis(cand, np.lexsort((cand, d))[:, :-1], axis=1)
         if level > self.max_level:
-            self.entry = i
-            self.max_level = level
+            self.entry, self.max_level = i, level
 
     def _finalize_layer0(self) -> None:
-        n = len(self.neighbors)
+        n = len(self.levels)
         if n <= 1:
             return
-        adj = [set(layers[0]) for layers in self.neighbors]
-        for u in range(n):
-            for v in self.neighbors[u][0]:
+        rows = [row[:d].tolist() for row, d in zip(self._adj[0], self._deg[0])]
+        adj = [set(row) for row in rows]
+        for u, row in enumerate(rows):
+            for v in row:
                 adj[v].add(u)
         reached = self._component(adj, self.entry)
         # the lowest unreached id joins its nearest reached node, and its
         # whole component is reached with it
         for u in range(n):
             if u not in reached:
-                (v,) = self._nearest(u, list(reached), 1)
+                ids = np.fromiter(reached, dtype=np.int64)
+                v = int(_rank(ids, _sq_dists(self._vecs[ids], self._vecs[u]), 1)[0])
                 adj[u].add(v)
                 adj[v].add(u)
                 reached |= self._component(adj, u)
-        for u in range(n):
-            self.neighbors[u][0] = sorted(adj[u])
+        deg = np.array([len(links) for links in adj], dtype=np.int64)
+        packed = np.full((n + 1, deg.max()), n, dtype=np.int32)
+        for u, links in enumerate(adj):
+            packed[u, :deg[u]] = sorted(links)
+        self._adj[0], self._deg[0] = packed, deg
 
     @staticmethod
     def _component(adj: list[set], start: int) -> set:
@@ -433,24 +475,27 @@ class HnswIndex:
 
 
 def hnsw_build(store: VectorStore, params: HnswParams) -> HnswIndex:
-    index = HnswIndex(store, params)
     rng = Rng(params.seed)
     ml = 1.0 / math.log(params.M)
     levels = np.floor(-np.log(rng.uniforms_open(len(store))) * ml).astype(int)
+    index = HnswIndex(store, params, levels.tolist())
     for i in range(len(store)):
-        index._insert(i, int(levels[i]))
+        index._insert(i)
     index._finalize_layer0()
     return index
 
 
 def hnsw_search(index: HnswIndex, query: np.ndarray, k: int) -> np.ndarray:
+    """Greedy descent (a beam of one) to layer 0, then a beam of ef_search."""
     query = _check_query(query, index.store, k)
     ef = index.params.ef_search
     if ef < k:
         raise ValueError(f"ef_search {ef} must be >= k {k}")
     q = query.astype(np.float64)
-    found = index._search_layer(q, index._descend(q, 0), ef, 0)
-    return np.array([n for _, n in found[:k]], dtype=np.int64)
+    ep = np.array([index.entry], dtype=np.int32)
+    for lc in range(index.max_level, -1, -1):
+        ep = index._beam(q, ep, ef if lc == 0 else 1, lc)
+    return ep[:k].astype(np.int64)
 
 
 # -- metrics ------------------------------------------------------------------

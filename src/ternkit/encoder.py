@@ -301,13 +301,6 @@ class EncoderModel:
     def clone(self) -> "EncoderModel":
         return copy.deepcopy(self)
 
-    def astype(self, dtype) -> "EncoderModel":
-        """Clone with every parameter cast; used for numeric verification."""
-        m = self.clone()
-        for _, part, attr, _ in m._slots:
-            setattr(part, attr, getattr(part, attr).astype(dtype))
-        return m
-
 
 def replace_linears(model: EncoderModel, mode: str, beta: float = DEFAULT_BETA) -> EncoderModel:
     """Switch every linear layer's mode in place; weights are untouched."""

@@ -84,13 +84,19 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
     A constant row has zero variance; LAYER_NORM_EPS keeps the division
     finite and the normalized row comes out all-zero.
     """
-    y, _ = layer_norm_with_cache(x, gain, shift)
-    return y
+    return _layer_norm(x, gain, shift)[0]
 
 
 def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     """layer_norm plus the (normed, inv_std) cache the backward pass needs: the
     float64 normalized rows and each row's float64 1 / sqrt(var + eps)."""
+    y, normed, inv_std = _layer_norm(x, gain, shift)
+    return y, (normed, inv_std)
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+    """The one layer-norm computation behind both public functions:
+    (y, normed, inv_std)."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"layer_norm expects a 2-D batch, got shape {x.shape}")
@@ -103,5 +109,5 @@ def layer_norm_with_cache(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv_std
     y = (normed * gain.astype(np.float64) + shift.astype(np.float64)).astype(x.dtype)
-    return y, (normed, inv_std)
+    return y, normed, inv_std
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ternkit.encoder import DEFAULT_BETA, MODE_FULL, EncoderConfig, EncoderModel
 from ternkit.rng import Rng
 
 settings.register_profile("ternkit", deadline=None, derandomize=True)
@@ -17,6 +18,15 @@ def random_matrix(rng: Rng, rows: int, cols: int, sigma: float = 1.0) -> np.ndar
     return rng.normals(rows * cols, sigma=sigma).reshape(rows, cols).astype(np.float32)
 
 
+def init_model(config: EncoderConfig, dtype, mode: str = MODE_FULL,
+               beta: float = DEFAULT_BETA) -> EncoderModel:
+    """EncoderModel.init's seeded parameters cast to dtype, built through
+    EncoderModel.from_arrays with every linear layer in `mode`."""
+    arrays = EncoderModel.init(config).parameters()
+    return EncoderModel.from_arrays(config, {k: v.astype(dtype) for k, v in arrays.items()},
+                                    mode, beta)
+
+
 def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
     """Infinity-norm error relative to 1 + the oracle's own infinity norm."""
     got = np.asarray(got, dtype=np.float64)
@@ -25,27 +35,32 @@ def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def hnsw_level_bounds_ok(index) -> bool:
-    """Every link stays within both endpoints' level range, no self loops."""
-    for i, layers in enumerate(index.neighbors):
+    """Every link stays within both endpoints' level range, no self loops;
+    lists above layer 0 hold at most M ids and never the sentinel n."""
+    n, neighbors = len(index.levels), index.neighbors
+    for i, layers in enumerate(neighbors):
         if len(layers) != index.levels[i] + 1:
             return False
         for lc, ids in enumerate(layers):
-            for n in ids:
-                if n == i or index.levels[n] < lc:
+            if n in ids or (lc >= 1 and len(ids) > index.params.M):
+                return False
+            for v in ids:
+                if v == i or index.levels[v] < lc:
                     return False
     return True
 
 
 def hnsw_layer0_connected(index) -> bool:
     """Every node is reachable from the entry point along layer-0 links."""
-    n = len(index.neighbors)
+    neighbors = index.neighbors
+    n = len(neighbors)
     if n <= 1:
         return True
     seen = {index.entry}
     stack = [index.entry]
     while stack:
         node = stack.pop()
-        for nb in index.neighbors[node][0]:
+        for nb in neighbors[node][0]:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)

@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import hnsw_layer0_connected, max_rel_err, random_matrix
+from conftest import hnsw_layer0_connected, init_model, max_rel_err, random_matrix
 from test_encoder import finite_difference_grads
 from ternkit import storage
 from ternkit.ann import (HnswParams, IvfParams, VectorStore, evaluate_retrieval,
@@ -148,7 +148,7 @@ def test_criterion_03_gaussian_sparsity_oracle():
 
 def test_criterion_04_gradient_correctness():
     start = time.perf_counter()
-    model = EncoderModel.init(EncoderConfig(8, 8, 8, 2, seed=9004)).astype(np.float64)
+    model = init_model(EncoderConfig(8, 8, 8, 2, seed=9004), np.float64)
     rng = Rng(9014)
     x = rng.normals(4 * 8).reshape(4, 8)
     target = rng.normals(4 * 8).reshape(4, 8)

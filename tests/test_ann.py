@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,9 @@ def test_rank_partial_selection_equals_full_sort(values, k, rnd):
     rnd.shuffle(ids)  # ids out of order, so ties must really be broken by id
     want = ids[np.lexsort((ids, dists))][:k]
     assert np.array_equal(ann._rank(ids, dists, k), want)
+    # and with the partition pre-selection, which short inputs skip otherwise
+    with mock.patch.object(ann, "_SORT_ALL_UP_TO", 0):
+        assert np.array_equal(ann._rank(ids, dists, k), want)
 
 
 @st.composite
@@ -363,6 +368,54 @@ def test_hnsw_repair_connects_far_groups(groups, size, dim, interleave, data_see
     assert hnsw_level_bounds_ok(index)
     for q in (store.vectors[0], store.vectors[-1], np.full(dim, 50.0, np.float32)):
         assert np.array_equal(hnsw_search(index, q, n), flat_search(store, q, n))
+
+
+@given(adversarial_store(), st.integers(-1, 23), st.sampled_from([np.inf, -np.inf, np.nan]),
+       st.integers(2, 4), st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_hnsw_exhaustive_beam_with_non_finite_gives_reference(vecs, row, bad, m, seed):
+    """With ef_search >= n the beam reaches every node of the connected
+    layer 0, so even NaN and infinite distances rank as the reference does."""
+    q = vecs[0].copy()
+    if row < 0:
+        q[0] = bad
+    else:
+        vecs[row % len(vecs), 0] = bad
+    n = len(vecs)
+    with np.errstate(invalid="ignore"):
+        index = hnsw_build(VectorStore(vecs), HnswParams(M=m, ef_construction=2, ef_search=n,
+                                                         seed=seed))
+        assert hnsw_level_bounds_ok(index) and hnsw_layer0_connected(index)
+        for k in {1, n // 2 + 1, n}:
+            assert np.array_equal(hnsw_search(index, q, k), reference_top_k(vecs, q, k))
+
+
+def test_hnsw_search_is_reentrant(monkeypatch):
+    """A whole search run inside each distance call of another search leaves
+    the outer one's beams intact: both return what fresh calls return, and
+    the index's arrays are unchanged."""
+    rng = Rng(20)
+    store = gaussian_store(rng, 300, 8)
+    index = hnsw_build(store, HnswParams(M=4, ef_construction=40, ef_search=30, seed=4))
+    qa, qb = rng.normals(8).astype(np.float32), rng.normals(8).astype(np.float32)
+    want_a, want_b = hnsw_search(index, qa, 10), hnsw_search(index, qb, 10)
+    state = [a.tobytes() for a in (*index._adj, *index._deg)]
+    sq_dists, inner, busy = ann._sq_dists, [], False
+
+    def interleaving(vectors, query):
+        nonlocal busy
+        if not busy:
+            busy = True
+            inner.append(hnsw_search(index, qb, 10))
+            busy = False
+        return sq_dists(vectors, query)
+
+    monkeypatch.setattr(ann, "_sq_dists", interleaving)
+    got_a = hnsw_search(index, qa, 10)
+    assert len(inner) > 3
+    assert np.array_equal(got_a, want_a)
+    assert all(np.array_equal(got_b, want_b) for got_b in inner)
+    assert [a.tobytes() for a in (*index._adj, *index._deg)] == state
 
 
 def test_hnsw_rejects_ef_below_k():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, random_matrix
+from conftest import init_model, max_rel_err, random_matrix
 from ternkit.distill import mse_loss
 from ternkit.encoder import (EncoderConfig, EncoderModel, LinearLayer,
                              MODE_FULL, MODE_TERNARY, PackedEncoder,
@@ -101,7 +101,7 @@ def test_inference_forward_caches_nothing():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", [MODE_FULL, MODE_TERNARY])
 def test_forward_equals_train_forward_bitwise(mode, dtype):
-    model = replace_linears(EncoderModel.init(small_config()), mode, 2.0).astype(dtype)
+    model = init_model(small_config(), dtype, mode, 2.0)
     x = random_matrix(Rng(7), 6, 8).astype(dtype)
     got, want = model.forward(x), model.train_forward(x)
     assert got.dtype == want.dtype == dtype
@@ -117,7 +117,7 @@ def test_zero_upstream_gradient_gives_zero_grads():
 
 
 def test_full_precision_gradients_match_finite_differences():
-    model = EncoderModel.init(small_config()).astype(np.float64)
+    model = init_model(small_config(), np.float64)
     rng = Rng(21)
     x = rng.normals(4 * 8).reshape(4, 8)
     target = rng.normals(4 * 8).reshape(4, 8)

@@ -148,12 +148,12 @@ RETRIEVAL = {
     "ivf.centroids": "01a964d45fa296850d7d36c3540c400028ae6a6b0271c078c1ca23588fd593a4",
     "ivf.lists": "88515be345319d3624216955ea39b12bcc101bd151d9e4c48bbe13a7e1ec7ecd",
     "hnsw.levels": "fed70018244b44bc83a7b6865cb48ef7e76777d12f7fd4857663e9fb7b55df50",
-    "hnsw.neighbors": "7f7d439899d6cfce96bc1993945fd612893a724e0a13e7cb47f8ff4fd19ecb02",
+    "hnsw.neighbors": "aa49c579c5e66905fb99c4d0c5511c05aceeadc0ecc9389331fbf08720aaa938",
     "lsh.codes": "43f4694abdf462b1b1bf0e804f67a59f270b99bcfa9d0fc6db7b4f7c41191aef",
     "flat.top10": "2692b4fe775be87c4006c80a9afc9f9d19c0a4f9c326cd5fec35f0823cf7e66a",
     "ivf.top10": "1c12f42a8c7ec328269533f01586951f0317549defff04ec0c0cd54a5466b177",
     "lsh.top10": "28dde69bd9fbdd61604efb0c8f8f93cccf4afbc2a7dc27246a2064df029886d7",
-    "hnsw.top10": "aa9528b4bd9d75b6d30f0df6a46de371d7da4abb33d81f625d20fc0a6b42a1b2",
+    "hnsw.top10": "15d733e8b3e8fbd9556697e8a5733a5324e88ccf4130916192eefd85b9f6b95b",
 }
 
 

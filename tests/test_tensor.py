@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from conftest import random_matrix
+from ternkit import tensor
 from ternkit.rng import Rng
 from ternkit.tensor import as_matrix, gaussian_fill, gelu, gelu_grad, layer_norm, matmul
 
@@ -122,6 +123,21 @@ def test_layer_norm_gain_shift():
     shift = np.full(4, 1.0, np.float32)
     plain = layer_norm(x, np.ones(4, np.float32), np.zeros(4, np.float32))
     assert np.allclose(layer_norm(x, gain, shift), 2.0 * plain + 1.0, atol=1e-6)
+
+
+def test_layer_norm_does_not_call_layer_norm_with_cache(monkeypatch):
+    """Both public functions share one core, so an inference layer norm is
+    one call (one `tensor.layer_norm` span in a traced run), with the same bits."""
+    x = random_matrix(Rng(5), 7, 16, sigma=3.0)
+    gain = random_matrix(Rng(6), 1, 16).reshape(-1)
+    shift = random_matrix(Rng(7), 1, 16).reshape(-1)
+    want = tensor.layer_norm_with_cache(x, gain, shift)[0]
+
+    def boom(*args):
+        raise AssertionError("layer_norm went through layer_norm_with_cache")
+
+    monkeypatch.setattr(tensor, "layer_norm_with_cache", boom)
+    assert tensor.layer_norm(x, gain, shift).tobytes() == want.tobytes()
 
 
 def test_as_matrix_validation():
