@@ -8,15 +8,22 @@ id.
 
 Exact top-k (flat search, the scan of IVF's probed cells, and IVF's
 nearest-centroid assignment) runs in two steps. A screen takes approximate
-distances ||v||^2 - 2 v.q + ||q||^2 from one GEMV (a GEMM for assignment)
-against the float64 rows and squared norms the store caches at construction,
-widens each by a rigorous bound on its rounding error, and keeps every id
-whose lower end is at or below the k-th smallest upper end. The survivors are
-re-ranked with the row-wise reference formula `_sq_dists`, which gives each
-row the same value whichever rows it is computed with. So the ids, their order
-and the tie order equal those of the unscreened computation bit for bit, and
-exhaustively-probed IVF reproduces brute force, tie order included.
-Non-finite stores and queries skip the screen.
+distances ||v||^2 - 2 v.q from one float32 GEMV (a GEMM for assignment)
+over the float32 rows and the float64 squared norms the store caches at
+construction, takes the k-th smallest with one partition, and keeps every id
+within twice one scalar slack of it. The slack is a rigorous bound on the
+rounding error, computed once per query (once per call for assignment) from
+the store's largest row norm, the query's norm and the dimension. The
+survivors are re-ranked with the row-wise reference formula `_sq_dists`,
+which gives each row the same value whichever rows it is computed with. So
+the ids, their order and the tie order equal those of the unscreened
+computation bit for bit, and exhaustively-probed IVF reproduces brute force,
+tie order included. Non-finite stores and queries, and magnitudes the float32
+products could overflow, skip the screen.
+
+LSH holds its sign codes as a (words, n) array of 64-bit words and counts
+the Hamming distance of a query to every code with one XOR and one popcount
+per word.
 
 HNSW inserts and queries walk each layer with one frontier-batched beam, in
 the manner of DiskANN's beam search (Subramanya et al., NeurIPS 2019) but
@@ -47,13 +54,14 @@ INDEX_KINDS = ("flat", "ivf", "lsh", "hnsw")
 class VectorStore:
     """Vectors with implicit stable ids 0..N-1.
 
-    The float64 rows, their squared norms and whether every entry is finite
-    are computed once here, so `vectors` must not change afterwards."""
+    The float64 rows, their squared norms and the largest norm (NaN or inf
+    when a row is not finite) are computed once here, so `vectors` must not
+    change afterwards."""
 
     vectors: np.ndarray
     vectors64: np.ndarray = field(init=False, repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
-    finite: bool = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=FLOAT)
@@ -61,7 +69,7 @@ class VectorStore:
             raise ValueError(f"vectors must be a non-empty 2-D array, got {self.vectors.shape}")
         self.vectors64 = self.vectors.astype(np.float64)
         self.sq_norms = np.einsum("ij,ij->i", self.vectors64, self.vectors64)
-        self.finite = bool(np.isfinite(self.vectors).all())
+        self.max_norm = float(np.sqrt(self.sq_norms.max()))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -79,35 +87,63 @@ def _sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.add.reduce(diff, axis=-1)
 
 
-# The screen's bound. Take u = 2^-53, gamma_n = n*u / (1 - n*u), the model
-# fl(x op y) = (x op y)(1 + delta) with |delta| <= u, D = ||v - q||^2 exact and
-# S = (||v|| + ||q||)^2 >= D.
+# The screen's bound. It ranks items x (store rows for a search, centroids
+# for `_assign`) against one fixed vector y (the query; the point). Each x
+# and y is float32, except that centroids are float64 and the GEMM takes
+# them rounded to float32. Let u = 2^-53, e = 2^-24, t = 2^-126 (the least
+# normal float32), gamma_n = n u / (1 - n u) and gamma32_n the same with e,
+# M >= ||x|| for every x, W >= ||y||, P = M W, S = (M + W)^2, and
+# E = ||x||^2 - 2 x.y exact, so that D = E + ||y||^2 = ||x - y||^2 <= S.
+# Float64 underflow loses at most 2^-1074 per operation, far below the t
+# terms, so only float32 underflow counts.
 # - `_sq_dists` gives R: each of the d terms carries (1+delta)^3 from the
 #   subtraction and the square, and summing d nonnegative terms in any order
-#   adds gamma_{d-1}, so |R - D| <= gamma_{d+2} * D.
-# - The screen gives A = fl(fl(N - 2g) + nq) from N = fl(||v||^2),
-#   g = fl(v.q) and nq = fl(||q||^2). Each is a d-term dot product, off by at
-#   most gamma_d * sum_j |x_j y_j| in any summation order, with or without FMA,
-#   and sum_j |v_j q_j| <= ||v|| ||q||; 2g is exact. The pieces are thus off by
-#   gamma_d * S together, and each of the two additions adds u times a
-#   magnitude of at most (1 + gamma_d) * S, so |A - D| <= gamma_{d+2} * S.
-# Hence |R - A| <= 2 gamma_{d+2} S, which is below 2.0001 (d+2) u S for any d
-# an array can have. The slack 4 (d+2) u S is twice that; the spare half
-# covers the rounding of S, of the slack and of A -/+ slack, each a few u * S.
-# Products that underflow lose at most 2^-1075 each, and there are at most
-# 5d of them; _TINY covers that. Rows and queries are float32 values (or,
-# for centroids, their means), so nothing overflows.
-_UNIT_ROUNDOFF = 2.0 ** -53
-_TINY = 2.0 ** -1000
+#   adds gamma_{d-1}, so |R - D| <= gamma_{d+2} D <= gamma_{d+2} S.
+# - The screen gives A = fl(N - 2g) from N = fl(||x||^2) in float64, off by
+#   at most gamma_d S, and g = fl32(x.y), the float32 dot product.
+#   - In any summation order, with or without FMA, each of the at most 2d
+#     float32 operations is (exact)(1 + delta) + eta with |delta| <= e and
+#     |eta| <= t, flush-to-zero included. So g is off by at most
+#     gamma32_d sum_j |x_j y_j| <= gamma32_d P from rounding, and by at most
+#     2 * 2d t from underflow, as later additions grow each eta by at most
+#     (1 + e)^d <= 2 for d < 2^22.
+#   - Rounding a centroid to float32 moves each entry by at most e |x_j| + t,
+#     so x.y by at most e P + t sqrt(d) W, and the rounding bound above by
+#     at most gamma32_d (e P + t sqrt(d) W); inputs read as zero under
+#     denormals-are-zero move x.y by less than t sqrt(d) (M + W).
+#   - Together |g - x.y| <= G = 2 (d+1) e P + t (4d + 3 sqrt(d) (M + W)),
+#     as gamma32_d (1 + e) + e <= gamma32_{d+1} <= 2 (d+1) e and
+#     gamma32_d <= 1 for d < 2^22. 2g is exact, and the
+#     subtraction adds u |N - 2g| <= 2u S, so |A - E| <= (d+2) u S + 2G.
+# - Let a be the k-th smallest A and s = (2d+4) u S + 2G >= |A - E| + |R - D|.
+#   The k ids with A <= a have R <= A + ||y||^2 + s <= a + ||y||^2 + s, so the
+#   k-th smallest R is at most that. Any id with R at most the k-th smallest
+#   R (ties included) then has A <= R - ||y||^2 + s <= a + 2s: the screen
+#   keeps every id the unscreened ranking could place in the top k.
+# - `_screen_slack` returns slack = 2s, and the screen keeps the ids with
+#   A <= fl(a + 2 slack) = fl(a + 4s). The spare 2s covers the rounding of
+#   that sum (u |a + 4s|, with |a| <= S) and of M, W, S and the slack
+#   themselves, each a few u relative.
+# Overflow: every product and partial sum of the float32 dot is at most 2P,
+# and 2g at most 4P, so the gate requires M, W and P at most 2^120 (which
+# also keeps the rounded centroids finite); NaN and inf fail it too. Past
+# the gate, every id is ranked exactly.
+_U64 = 2.0 ** -53
+_U32 = 2.0 ** -24
+_TINY32 = 2.0 ** -126
+_SCREEN_MAX = 2.0 ** 120
 
 
-def _sq_dist_bounds(sq_norms, dots, q_sq_norms, dim: int):
-    """(lo, hi) with lo <= `_sq_dists` <= hi for every pair, from squared
-    norms and dot products; broadcasts, so it serves a GEMV or a GEMM."""
-    approx = sq_norms - 2.0 * dots + q_sq_norms
-    slack = 4.0 * (dim + 2) * _UNIT_ROUNDOFF * (np.sqrt(sq_norms) + np.sqrt(q_sq_norms)) ** 2
-    slack += _TINY
-    return approx - slack, approx + slack
+def _screen_slack(norm_x: float, norm_y: float, dim: int) -> float | None:
+    """The screen's slack (2s above) for items of norm at most `norm_x`
+    against vectors of norm at most `norm_y`; None when the gate fails."""
+    p = norm_x * norm_y
+    if not (norm_x <= _SCREEN_MAX and norm_y <= _SCREEN_MAX and p <= _SCREEN_MAX
+            and dim < 2 ** 22):
+        return None
+    norms = norm_x + norm_y
+    g = 2.0 * (dim + 1) * _U32 * p + _TINY32 * (4.0 * dim + 3.0 * math.sqrt(dim) * norms)
+    return 2.0 * ((2.0 * dim + 4.0) * _U64 * norms * norms + 2.0 * g)
 
 
 def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
@@ -117,17 +153,20 @@ def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
     The screen keeps every id that can reach the top k or tie at the k-th
     place, and the re-rank computes exactly what the unscreened ranking
     would, so the result is the same, ties included."""
-    rows, sq_norms = store.vectors64, store.sq_norms
-    if ids is None:
-        ids = np.arange(len(store))
-    else:
-        rows, sq_norms = rows[ids], sq_norms[ids]
-    if len(ids) > k and store.finite and np.isfinite(query).all():
-        q = query.astype(np.float64)
-        lo, hi = _sq_dist_bounds(sq_norms, rows @ q, q @ q, store.dim)
-        keep = lo <= np.partition(hi, k - 1)[k - 1]
-        ids, rows = ids[keep], rows[keep]
-    return _rank(ids, _sq_dists(rows, query), k)
+    n = len(store) if ids is None else len(ids)
+    q64 = query.astype(np.float64)
+    slack = _screen_slack(store.max_norm, math.sqrt(q64 @ q64), store.dim) if n > k else None
+    if slack is not None:
+        if ids is None:
+            approx = store.sq_norms - 2.0 * (store.vectors @ query)
+        else:
+            approx = store.sq_norms[ids] - 2.0 * (store.vectors[ids] @ query)
+        keep = np.flatnonzero(approx <= np.partition(approx, k - 1)[k - 1] + 2.0 * slack)
+        # for the whole store the positions are the ids
+        ids = keep if ids is None else ids[keep]
+    elif ids is None:
+        ids = np.arange(n)
+    return _rank(ids, _sq_dists(store.vectors64[ids], q64), k)
 
 
 def _check_query(query: np.ndarray, store: VectorStore, k: int | None = None) -> np.ndarray:
@@ -208,8 +247,9 @@ def _kmeans(store: VectorStore, nlist: int, iters: int, seed: int) -> np.ndarray
     for _ in range(iters):
         assign = _assign(store, centroids)
         counts = np.bincount(assign, minlength=nlist)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, rows)
+        # bincount adds each column's weights in id order, as np.add.at would
+        sums = np.stack([np.bincount(assign, weights=col, minlength=nlist) for col in rows.T],
+                        axis=1)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         for cell in np.flatnonzero(~nonempty):
@@ -223,24 +263,25 @@ def _kmeans(store: VectorStore, nlist: int, iters: int, seed: int) -> np.ndarray
 def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment, ties to the lowest cell id.
 
-    The screen of `_exact_top_k` with k = 1, one GEMM per block of points;
-    only the surviving (point, cell) pairs get exact distances. Centroids
-    are rows or means of rows, so they are finite when the store is."""
+    The screen of `_exact_top_k` with k = 1, one float32 GEMM per block of
+    points against the centroids rounded to float32, and one slack for the
+    whole call; only the surviving (point, cell) pairs get exact distances."""
     n, nlist = len(store), len(centroids)
     c_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
+    slack = _screen_slack(float(np.sqrt(c_sq_norms.max())), store.max_norm, store.dim)
+    if slack is not None:
+        c32 = centroids.astype(FLOAT)
     assign = np.empty(n, dtype=np.int64)
     step = max(1, 2_000_000 // (nlist * store.dim))
     for start in range(0, n, step):
-        rows = store.vectors64[start:start + step]
-        if store.finite:
-            lo, hi = _sq_dist_bounds(store.sq_norms[start:start + step, None],
-                                     rows @ centroids.T, c_sq_norms, store.dim)
-            keep = lo <= hi.min(axis=1, keepdims=True)
+        if slack is not None:
+            approx = c_sq_norms - 2.0 * (store.vectors[start:start + step] @ c32.T)
+            keep = approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack
         else:
-            keep = np.ones((len(rows), nlist), dtype=bool)
+            keep = np.ones((min(step, n - start), nlist), dtype=bool)
         point, cell = np.nonzero(keep)
         d = np.full(keep.shape, np.inf)
-        d[point, cell] = _sq_dists(rows[point], centroids[cell])
+        d[point, cell] = _sq_dists(store.vectors64[start + point], centroids[cell])
         assign[start:start + step] = np.argmin(d, axis=1)
     return assign
 
@@ -284,37 +325,57 @@ class LshParams:
 
 
 class LshIndex:
+    """Sign codes of the store under `hyperplanes`. The codes are held once,
+    as a (words, n) uint64 array: each row's bytes zero-padded to a whole
+    number of words, so the pad bits XOR to 0. `codes` gives the packed
+    bytes back. The float64 planes the query code is computed with are
+    cached here, in the layout `_lsh_code` uses at build time."""
+
     def __init__(self, store: VectorStore, params: LshParams,
                  hyperplanes: np.ndarray, codes: np.ndarray):
         self.store = store
         self.params = params
         self.hyperplanes = hyperplanes
-        self.codes = codes
+        self._planes64 = hyperplanes.T.astype(np.float64)
+        self._words = _code_words(codes).T.copy()
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(n, ceil(nbits / 8)) uint8: each row's sign bits, LSB-first."""
+        return self._words.T.copy().view(np.uint8)[:, :(self.params.nbits + 7) // 8].copy()
 
     def search(self, query: np.ndarray, k: int) -> np.ndarray:
         return lsh_search(self, query, k)
 
 
-def _lsh_code(vectors: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
-    """Sign bits of the projections (dot >= 0 -> 1), packed LSB-first per row."""
-    bits = vectors.astype(np.float64) @ hyperplanes.T.astype(np.float64) >= 0.0
+def _lsh_code(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
+    """Sign bits of the projections onto the columns of `planes64`
+    (dot >= 0 -> 1), packed LSB-first per row."""
+    bits = vectors.astype(np.float64) @ planes64 >= 0.0
     return np.packbits(bits, axis=1, bitorder="little")
+
+
+def _code_words(codes: np.ndarray) -> np.ndarray:
+    """Packed code rows as uint64 words, each row zero-padded to whole words."""
+    words = np.zeros((codes.shape[0], -(-codes.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, :codes.shape[1]] = codes
+    return words
 
 
 def lsh_build(store: VectorStore, params: LshParams) -> LshIndex:
     rng = Rng(params.seed)
     planes = rng.normals(params.nbits * store.dim).reshape(params.nbits, store.dim)
     planes = planes.astype(FLOAT)
-    codes = _lsh_code(store.vectors, planes)
+    codes = _lsh_code(store.vectors, planes.T.astype(np.float64))
     return LshIndex(store, params, planes, codes)
 
 
 def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
     """Rank by Hamming distance between sign codes, ties by smaller id."""
     query = _check_query(query, index.store, k)
-    qcode = _lsh_code(query[None, :], index.hyperplanes)
-    hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1)
-    return _rank(np.arange(len(index.store)), hamming.astype(np.float64), k)
+    qwords = _code_words(_lsh_code(query[None, :], index._planes64))[0]
+    hamming = np.bitwise_count(index._words ^ qwords[:, None]).sum(axis=0)
+    return _rank(np.arange(len(index.store)), hamming, k)
 
 
 # -- HNSW ---------------------------------------------------------------------

@@ -193,6 +193,67 @@ def test_screened_assign_equals_brute_force_argmin(vecs, picks, mirror):
                           brute_force_assign(vecs, centroids))
 
 
+def _screen_edge_store(scale):
+    """64-dim rows at `scale`, on a coarse grid so that some distances tie,
+    and a query among them."""
+    u = Rng(24).uniforms_open(300 * 64).reshape(300, 64)
+    vecs = (scale * (1.0 + np.floor(8.0 * u) / 8.0)).astype(np.float32)
+    return vecs, (vecs[5] + vecs[9]) / np.float32(2.0)
+
+
+@pytest.mark.parametrize("scale, screened", [(1e19, False), (1e-22, True)])
+def test_screen_edges_give_reference(monkeypatch, scale, screened):
+    """Rows near 1e19 would overflow the float32 GEMV, so the gate must rank
+    every row exactly; rows near 1e-22 make every float32 product subnormal,
+    so the screen runs on underflowed dots and its slack must keep the true
+    top k."""
+    vecs, q = _screen_edge_store(scale)
+    store = VectorStore(vecs)
+    with np.errstate(over="ignore"):
+        assert bool(np.isinf(store.vectors @ q).any()) is not screened
+    q_norm = np.sqrt(q.astype(np.float64) @ q.astype(np.float64))
+    assert (ann._screen_slack(store.max_norm, q_norm, store.dim) is not None) is screened
+    index = ivf_build(store, IvfParams(nlist=4, nprobe=4, seed=2))
+    ranked = []
+    sq_dists = ann._sq_dists
+
+    def counting(v, w):
+        ranked.append(len(v))
+        return sq_dists(v, w)
+
+    monkeypatch.setattr(ann, "_sq_dists", counting)
+    for k in (1, 10, 299):
+        want = reference_top_k(vecs, q, k)
+        ranked.clear()
+        assert np.array_equal(flat_search(store, q, k), want)
+        if not screened:
+            assert ranked == [len(vecs)]
+        assert np.array_equal(ivf_search(index, q, k), want)
+    centroids = vecs[[0, 7, 7, 150]].astype(np.float64)
+    centroids[2] *= 1.0 + 1e-9
+    centroids[3] *= 0.5
+    assert np.array_equal(ann._assign(store, centroids), brute_force_assign(vecs, centroids))
+
+
+def test_screen_keeps_only_a_handful(monkeypatch):
+    """On a normalized clustered store the screen must really screen: a
+    fall-through to ranking every row would pass every correctness test."""
+    store, _ = clustered_store(Rng(25), 3000, 32, 30)
+    store = VectorStore(ann.normalize_rows(store.vectors))
+    ranked = []
+    sq_dists = ann._sq_dists
+
+    def counting(v, w):
+        ranked.append(len(v))
+        return sq_dists(v, w)
+
+    monkeypatch.setattr(ann, "_sq_dists", counting)
+    for qi in range(0, 3000, 60):
+        q = store.vectors[qi] + np.float32(0.01)
+        assert len(flat_search(store, q, 10)) == 10
+    assert len(ranked) == 50 and max(ranked) <= 15
+
+
 def test_flat_validation():
     store = gaussian_store(Rng(4), 10, 3)
     with pytest.raises(ValueError):
@@ -302,6 +363,22 @@ def test_lsh_deterministic_per_seed():
     b = lsh_build(store, LshParams(nbits=32, seed=7))
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.hyperplanes, b.hyperplanes)
+
+
+@given(adversarial_case(), st.one_of(st.integers(1, 130), st.sampled_from([8, 63, 64, 65, 128])),
+       st.integers(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_lsh_word_layout_equals_bytewise_hamming(case, nbits, seed):
+    """Codes held as zero-padded 64-bit words rank exactly as the byte-wise
+    Hamming distance over `codes` does, for bit counts that fill no whole
+    byte or word as well as ones that do."""
+    vecs, q, k = case
+    index = lsh_build(VectorStore(vecs), LshParams(nbits=nbits, seed=seed))
+    codes = index.codes
+    assert codes.shape == (len(vecs), (nbits + 7) // 8) and codes.dtype == np.uint8
+    qcode = ann._lsh_code(q[None, :], index.hyperplanes.T.astype(np.float64))
+    hamming = np.bitwise_count(codes ^ qcode).sum(axis=1)
+    assert np.array_equal(lsh_search(index, q, k), ann._rank(np.arange(len(vecs)), hamming, k))
 
 
 # -- HNSW ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ternkit.packed
 from conftest import init_model, max_rel_err, random_matrix
 from ternkit.distill import mse_loss
 from ternkit.encoder import (EncoderConfig, EncoderModel, LinearLayer,
@@ -220,6 +221,28 @@ def test_ternary_forward_rejects_non_finite_weight(bad):
     layer.weight[3, 1] = bad
     with pytest.raises(ValueError):
         layer.forward(np.ones((2, 4), np.float32))
+
+
+@pytest.mark.parametrize("min_fill, dense", [(0.0, True), (2.0, False)])
+def test_row_embedded_alone_equals_its_row_in_a_batch(monkeypatch, min_fill, dense):
+    """Embeddings are batch-invariant: a row embedded alone gives the same
+    bytes as its row in a batch of 7 and in a batch of 512, for the
+    full-precision and STE forwards and for PackedEncoder with every packed
+    operand dense (fill 0) or CSR (fill 2, never reached)."""
+    monkeypatch.setattr(ternkit.packed, "_DENSE_MIN_FILL", min_fill)
+    config = EncoderConfig(input_dim=64, hidden_dim=256, output_dim=64, num_blocks=2, seed=4)
+    full = EncoderModel.init(config)
+    ste = replace_linears(full.clone(), MODE_TERNARY, 2.0)
+    packed = PackedEncoder.from_model(ste)
+    assert all(isinstance(p.operand(), np.ndarray) is dense for p in packed.packed_layers)
+    x = Rng(6).normals(512 * 64).reshape(512, 64).astype(np.float32)
+    for model in (full, ste, packed):
+        batches = {7: model.forward(x[:7]), 512: model.forward(x)}
+        for i in (0, 3, 6, 200, 511):
+            alone = model.forward(x[i:i + 1])
+            for size, out in batches.items():
+                if i < size:
+                    assert alone.tobytes() == out[i:i + 1].tobytes(), (type(model), i, size)
 
 
 # a fresh interpreter, so modules other tests imported do not count
