@@ -8,9 +8,9 @@ touch each output once), and measure embedding quality with built-in
 nearest-neighbor retrieval.
 """
 
-from .ann import (HnswParams, IvfParams, LshParams, VectorStore, build_index,
-                  evaluate_retrieval, flat_search, hnsw_build, hnsw_search,
-                  ivf_build, ivf_search, lsh_build, lsh_search, recall_vs_exact)
+from .ann import (HnswParams, IvfParams, LshParams, VectorStore, evaluate_retrieval,
+                  flat_search, hnsw_build, hnsw_search, ivf_build, ivf_search,
+                  lsh_build, lsh_search, recall_vs_exact)
 from .distill import (AdamState, TaskSpec, TrainConfig, adam_step, distill,
                       holdout_split, lr_at, make_synthetic_teacher, mse_loss,
                       teacher_student_mse)

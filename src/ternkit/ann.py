@@ -1,10 +1,11 @@
 """Nearest-neighbor indexes and retrieval metrics.
 
-Four index families over a fixed vector store: exact brute-force L2, an
-inverted-file index over seeded k-means cells, random-hyperplane LSH ranked
-by Hamming distance, and a hierarchical navigable-small-world graph. All
-distances are squared L2 in float64, and ties always break toward the smaller
-id.
+Four index families over a fixed vector store, each with one build and one
+search function (`{kind}_build`, `{kind}_search`; flat search needs no build
+and searches the store itself): exact brute-force L2, an inverted-file index
+over seeded k-means cells, random-hyperplane LSH ranked by Hamming distance,
+and a hierarchical navigable-small-world graph. All distances are squared L2
+in float64, and ties always break toward the smaller id.
 
 Exact top-k (flat search, the scan of IVF's probed cells, and IVF's
 nearest-centroid assignment) runs in two steps. A screen takes approximate
@@ -48,6 +49,7 @@ from .rng import Rng
 from .tensor import FLOAT
 
 INDEX_KINDS = ("flat", "ivf", "lsh", "hnsw")
+_KMEANS_ITERS = 10  # Lloyd iterations of an IVF build
 
 
 @dataclass(eq=False)
@@ -169,13 +171,13 @@ def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
     return _rank(ids, _sq_dists(store.vectors64[ids], q64), k)
 
 
-def _check_query(query: np.ndarray, store: VectorStore, k: int | None = None) -> np.ndarray:
-    """The query as a float32 vector of the store's dim; k, when given, must
-    be in [1, len(store)]."""
+def _check_query(query: np.ndarray, store: VectorStore, k: int) -> np.ndarray:
+    """The query as a float32 vector of the store's dim; k must be in
+    [1, len(store)]."""
     query = np.asarray(query, dtype=FLOAT).reshape(-1)
     if query.shape[0] != store.dim:
         raise ValueError(f"query dim {query.shape[0]} != store dim {store.dim}")
-    if k is not None and not 1 <= k <= len(store):
+    if not 1 <= k <= len(store):
         raise ValueError(f"k must be in [1, {len(store)}], got {k}")
     return query
 
@@ -215,7 +217,6 @@ def flat_search(store: VectorStore, query: np.ndarray, k: int) -> np.ndarray:
 class IvfParams:
     nlist: int
     nprobe: int
-    kmeans_iters: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -223,8 +224,6 @@ class IvfParams:
             raise ValueError(f"nlist must be >= 1, got {self.nlist}")
         if not 1 <= self.nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}")
-        if self.kmeans_iters < 1:
-            raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
 
 
 class IvfIndex:
@@ -235,20 +234,18 @@ class IvfIndex:
         self.centroids = centroids
         self.lists = lists
 
-    def search(self, query: np.ndarray, k: int) -> np.ndarray:
-        return ivf_search(self, query, k)
 
-
-def _kmeans(store: VectorStore, nlist: int, iters: int, seed: int) -> np.ndarray:
+def _kmeans(store: VectorStore, nlist: int, seed: int) -> np.ndarray:
     """Seeded Lloyd iterations; empty cells re-seed to the farthest point."""
     rng = Rng(seed)
     rows = store.vectors64
+    cols = rows.T.copy()  # contiguous, so bincount need not copy each column
     centroids = rows[np.sort(rng.permutation(len(rows))[:nlist])]
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         assign = _assign(store, centroids)
         counts = np.bincount(assign, minlength=nlist)
         # bincount adds each column's weights in id order, as np.add.at would
-        sums = np.stack([np.bincount(assign, weights=col, minlength=nlist) for col in rows.T],
+        sums = np.stack([np.bincount(assign, weights=col, minlength=nlist) for col in cols],
                         axis=1)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -289,7 +286,7 @@ def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
 def ivf_build(store: VectorStore, params: IvfParams) -> IvfIndex:
     if params.nlist > len(store):
         raise ValueError(f"nlist {params.nlist} exceeds store size {len(store)}")
-    centroids = _kmeans(store, params.nlist, params.kmeans_iters, params.seed)
+    centroids = _kmeans(store, params.nlist, params.seed)
     assign = _assign(store, centroids)
     lists = [np.flatnonzero(assign == c) for c in range(params.nlist)]
     return IvfIndex(store, params, centroids.astype(FLOAT), lists)
@@ -301,14 +298,10 @@ def ivf_search(index: IvfIndex, query: np.ndarray, k: int) -> np.ndarray:
     May return fewer than k ids when the probed cells hold fewer points;
     probing every cell always yields exactly the brute-force ranking.
     """
-    query = _check_query(query, index.store)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    query = _check_query(query, index.store, k)
     cd = _sq_dists(index.centroids, query)
     probe = _rank(np.arange(len(index.centroids)), cd, index.params.nprobe)
-    cand = np.concatenate([index.lists[c] for c in probe]) if len(probe) else np.empty(0, int)
-    if cand.size == 0:
-        return cand
+    cand = np.concatenate([index.lists[c] for c in probe])
     return _exact_top_k(index.store, query, k, cand)
 
 
@@ -344,9 +337,6 @@ class LshIndex:
         """(n, ceil(nbits / 8)) uint8: each row's sign bits, LSB-first."""
         return self._words.T.copy().view(np.uint8)[:, :(self.params.nbits + 7) // 8].copy()
 
-    def search(self, query: np.ndarray, k: int) -> np.ndarray:
-        return lsh_search(self, query, k)
-
 
 def _lsh_code(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
     """Sign bits of the projections onto the columns of `planes64`
@@ -374,7 +364,8 @@ def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
     """Rank by Hamming distance between sign codes, ties by smaller id."""
     query = _check_query(query, index.store, k)
     qwords = _code_words(_lsh_code(query[None, :], index._planes64))[0]
-    hamming = np.bitwise_count(index._words ^ qwords[:, None]).sum(axis=0)
+    # exact for nbits < 2**32, and cheaper to accumulate than the default uint64
+    hamming = np.bitwise_count(index._words ^ qwords[:, None]).sum(axis=0, dtype=np.uint32)
     return _rank(np.arange(len(index.store)), hamming, k)
 
 
@@ -531,9 +522,6 @@ class HnswIndex:
                     stack.append(nb)
         return seen
 
-    def search(self, query: np.ndarray, k: int) -> np.ndarray:
-        return hnsw_search(self, query, k)
-
 
 def hnsw_build(store: VectorStore, params: HnswParams) -> HnswIndex:
     rng = Rng(params.seed)
@@ -585,29 +573,6 @@ def default_params(kind: str, n: int, dim: int, seed: int = 0):
     raise ValueError(f"unknown index kind {kind!r}")
 
 
-class _FlatIndex:
-    def __init__(self, store: VectorStore):
-        self.store = store
-
-    def search(self, query, k):
-        return flat_search(self.store, query, k)
-
-
-def build_index(kind: str, store: VectorStore, params=None, seed: int = 0):
-    """Uniform constructor over the four index kinds."""
-    if params is None:
-        params = default_params(kind, len(store), store.dim, seed)
-    if kind == "flat":
-        return _FlatIndex(store)
-    if kind == "ivf":
-        return ivf_build(store, params)
-    if kind == "lsh":
-        return lsh_build(store, params)
-    if kind == "hnsw":
-        return hnsw_build(store, params)
-    raise ValueError(f"unknown index kind {kind!r}")
-
-
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """L2-normalize rows in float64, rounded once to float32; zero rows stay zero."""
     x64 = np.asarray(x, dtype=np.float64)
@@ -616,8 +581,8 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_retrieval(embeddings: np.ndarray, labels: np.ndarray, kind: str,
-                       ks: list[int], params=None, seed: int = 0) -> dict:
-    """Self-retrieval benchmark over a labeled corpus.
+                       ks: list[int], seed: int = 0) -> dict:
+    """Self-retrieval benchmark over a labeled corpus, indexed with `default_params`.
 
     Every embedded vector queries the whole corpus; its own id is dropped
     from the result list and the relevant set is every other vector with
@@ -628,6 +593,8 @@ def evaluate_retrieval(embeddings: np.ndarray, labels: np.ndarray, kind: str,
     """
     embeddings = normalize_rows(embeddings)
     labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be a 1-D integer array, got {labels.dtype}{labels.shape}")
     if embeddings.shape[0] != labels.shape[0]:
         raise ValueError("labels must match embeddings rows")
     n = embeddings.shape[0]
@@ -636,22 +603,23 @@ def evaluate_retrieval(embeddings: np.ndarray, labels: np.ndarray, kind: str,
         raise ValueError("all k must be >= 1")
     if max(ks) >= n:
         raise ValueError(f"max k {max(ks)} must be below corpus size {n}")
+    params = default_params(kind, n, embeddings.shape[1], seed)
     store = VectorStore(embeddings)
-    index = build_index(kind, store, params=params, seed=seed)
+    # by name at call time, so a rebound `{kind}_search` is the one called
+    build, search = {"flat": (lambda store, _: store, flat_search), "ivf": (ivf_build, ivf_search),
+                     "lsh": (lsh_build, lsh_search), "hnsw": (hnsw_build, hnsw_search)}[kind]
+    index = build(store, params)
     kmax = max(ks)
-    by_label: dict = {}
-    for i, lab in enumerate(labels.tolist()):
-        by_label.setdefault(lab, set()).add(i)
-    precision = {k: 0.0 for k in ks}
-    recall = {k: 0.0 for k in ks}
+    _, label_ids, label_counts = np.unique(labels, return_inverse=True, return_counts=True)
+    precision, recall = dict.fromkeys(ks, 0.0), dict.fromkeys(ks, 0.0)
     for i in range(n):
-        got = [r for r in index.search(store.vectors[i], kmax + 1) if r != i][:kmax]
-        relevant = by_label[labels[i]] - {i}
+        got = search(index, store.vectors[i], kmax + 1)
+        hit = labels[got[got != i][:kmax]] == labels[i]
+        relevant = int(label_counts[label_ids[i]]) - 1
         for k in ks:
-            top = got[:k]
-            hits = sum(1 for r in top if r in relevant)
+            hits = int(np.count_nonzero(hit[:k]))
             precision[k] += hits / k
-            denom = min(len(relevant), k)
+            denom = min(relevant, k)
             recall[k] += hits / denom if denom else 0.0
     return {
         "index": kind,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import hnsw_layer0_connected, hnsw_level_bounds_ok
 from ternkit import ann
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore,
-                         build_index, default_params, evaluate_retrieval,
-                         flat_search, hnsw_build, hnsw_search, ivf_build,
-                         ivf_search, lsh_build, lsh_search, recall_vs_exact)
+                         default_params, evaluate_retrieval, flat_search,
+                         hnsw_build, hnsw_search, ivf_build, ivf_search,
+                         lsh_build, lsh_search, recall_vs_exact)
 from ternkit.rng import Rng
 
 
@@ -254,12 +256,18 @@ def test_screen_keeps_only_a_handful(monkeypatch):
     assert len(ranked) == 50 and max(ranked) <= 15
 
 
-def test_flat_validation():
+def test_search_validation():
+    """All four searches reject a query of the wrong dim, k = 0 and k > len(store)."""
     store = gaussian_store(Rng(4), 10, 3)
-    with pytest.raises(ValueError):
-        flat_search(store, np.zeros(2, np.float32), 3)
-    with pytest.raises(ValueError):
-        flat_search(store, np.zeros(3, np.float32), 11)
+    indexes = {"flat": store}
+    for kind in ("ivf", "lsh", "hnsw"):
+        indexes[kind] = getattr(ann, f"{kind}_build")(store, default_params(kind, 10, 3))
+    for kind, index in indexes.items():
+        search = getattr(ann, f"{kind}_search")
+        assert len(search(index, np.zeros(3, np.float32), 10)) == 10
+        for dim, k in ((2, 3), (3, 0), (3, 11)):
+            with pytest.raises(ValueError):
+                search(index, np.zeros(dim, np.float32), k)
 
 
 # -- IVF -----------------------------------------------------------------------
@@ -573,17 +581,30 @@ def test_evaluate_retrieval_rejects_oversized_k():
     pts = rng.normals(10 * 4).reshape(10, 4).astype(np.float32)
     with pytest.raises(ValueError):
         evaluate_retrieval(pts, np.zeros(10, np.int64), "flat", [10])
+    # labels must be integers: NaN floats are rejected, not looked up
+    labels = np.zeros(10)
+    labels[3] = np.nan
+    with pytest.raises(ValueError, match="labels"):
+        evaluate_retrieval(pts, labels, "flat", [5])
 
 
-def test_build_index_covers_all_kinds():
-    rng = Rng(22)
-    store = gaussian_store(rng, 40, 6)
-    q = store.vectors[3]
-    for kind in ("flat", "ivf", "lsh", "hnsw"):
-        index = build_index(kind, store, seed=1)
-        got = index.search(q, 5)
-        assert len(got) == 5
-        assert got[0] == 3  # self is always nearest for these indexes
+EVALUATE_RETRIEVAL_SHA256 = "0b0d8ae2b0d627b8ac8b27e128c5430600fbb339569f253d2945f2745b7a6322"
+
+
+def test_golden_evaluate_retrieval_all_kinds():
+    """The scores of every index kind, pinned to the last float. The corpus
+    is drawn from bit-portable uniforms; the LSH hyperplanes are normals, so
+    the hash holds per platform, as in `test_golden.py`."""
+    rng = Rng(23)
+    # ten overlapping clusters, four of three points and eight singletons,
+    # so the capped recall and the empty relevant set are both exercised
+    labels = np.concatenate((np.arange(580) % 10, 10 + np.arange(12) // 3, 14 + np.arange(8)))
+    protos = 4.0 * rng.uniforms_open(22 * 8).reshape(22, 8) - 2.0
+    pts = protos[labels] + 2.5 * (rng.uniforms_open(600 * 8).reshape(600, 8) - 0.5)
+    pts = pts.astype(np.float32)
+    outs = {kind: evaluate_retrieval(pts, labels, kind, [1, 5, 10]) for kind in ann.INDEX_KINDS}
+    digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
+    assert digest == EVALUATE_RETRIEVAL_SHA256
 
 
 def test_normalize_rows_unit_rows_and_zero_rows():
