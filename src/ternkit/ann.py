@@ -321,15 +321,15 @@ class LshIndex:
     """Sign codes of the store under `hyperplanes`. The codes are held once,
     as a (words, n) uint64 array: each row's bytes zero-padded to a whole
     number of words, so the pad bits XOR to 0. `codes` gives the packed
-    bytes back. The float64 planes the query code is computed with are
-    cached here, in the layout `_lsh_code` uses at build time."""
+    bytes back. `planes64`, the float64 transposed planes the build coded
+    the store with, codes the queries too."""
 
-    def __init__(self, store: VectorStore, params: LshParams,
-                 hyperplanes: np.ndarray, codes: np.ndarray):
+    def __init__(self, store: VectorStore, params: LshParams, hyperplanes: np.ndarray,
+                 planes64: np.ndarray, codes: np.ndarray):
         self.store = store
         self.params = params
         self.hyperplanes = hyperplanes
-        self._planes64 = hyperplanes.T.astype(np.float64)
+        self._planes64 = planes64
         self._words = _code_words(codes).T.copy()
 
     @property
@@ -338,11 +338,18 @@ class LshIndex:
         return self._words.T.copy().view(np.uint8)[:, :(self.params.nbits + 7) // 8].copy()
 
 
+_LSH_ROWS = 256  # rows projected per block by `_lsh_code`
+
+
 def _lsh_code(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
     """Sign bits of the projections onto the columns of `planes64`
-    (dot >= 0 -> 1), packed LSB-first per row."""
-    bits = vectors.astype(np.float64) @ planes64 >= 0.0
-    return np.packbits(bits, axis=1, bitorder="little")
+    (dot >= 0 -> 1), packed LSB-first per row; projected a block of
+    `_LSH_ROWS` rows at a time."""
+    codes = np.empty((len(vectors), (planes64.shape[1] + 7) // 8), dtype=np.uint8)
+    for start in range(0, len(vectors), _LSH_ROWS):
+        bits = vectors[start:start + _LSH_ROWS].astype(np.float64) @ planes64 >= 0.0
+        codes[start:start + _LSH_ROWS] = np.packbits(bits, axis=1, bitorder="little")
+    return codes
 
 
 def _code_words(codes: np.ndarray) -> np.ndarray:
@@ -356,8 +363,8 @@ def lsh_build(store: VectorStore, params: LshParams) -> LshIndex:
     rng = Rng(params.seed)
     planes = rng.normals(params.nbits * store.dim).reshape(params.nbits, store.dim)
     planes = planes.astype(FLOAT)
-    codes = _lsh_code(store.vectors, planes.T.astype(np.float64))
-    return LshIndex(store, params, planes, codes)
+    planes64 = planes.T.astype(np.float64)
+    return LshIndex(store, params, planes, planes64, _lsh_code(store.vectors, planes64))
 
 
 def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
@@ -398,13 +405,15 @@ class HnswIndex:
     per round: one gather of their rows, one distance call for the ids not
     seen before, then a trim to the ef nearest by (distance, id).
 
-    After the last insert the build finalizes layer 0: the adjacency is
-    symmetrized (degree-cap eviction during inserts can strand one-way
-    edges) and any component cut off from the entry point is reconnected
-    through its nearest reachable node. Those repair edges may exceed the
-    degree cap, so layer 0 is re-packed at its largest degree, each row
-    sorted. They guarantee the base layer is connected, so an exhaustive
-    beam reaches every node."""
+    After the last insert the build finalizes layer 0 on arrays. One sort
+    of the edge keys u * n + v and v * n + u, repeats dropped, symmetrizes
+    the adjacency (degree-cap eviction during inserts can strand one-way
+    edges), and frontier walks over the padded rows find the components.
+    Each component cut off from the entry point is reconnected, lowest id
+    first, through that id's nearest reached node. Those repair edges may
+    exceed the degree cap, so layer 0 is re-packed at its largest degree,
+    each row sorted. They guarantee the base layer is connected, so an
+    exhaustive beam reaches every node."""
 
     def __init__(self, store: VectorStore, params: HnswParams, levels: list[int]):
         self.store = store
@@ -489,38 +498,57 @@ class HnswIndex:
         n = len(self.levels)
         if n <= 1:
             return
-        rows = [row[:d].tolist() for row, d in zip(self._adj[0], self._deg[0])]
-        adj = [set(row) for row in rows]
-        for u, row in enumerate(rows):
-            for v in row:
-                adj[v].add(u)
-        reached = self._component(adj, self.entry)
-        # the lowest unreached id joins its nearest reached node, and its
-        # whole component is reached with it
-        for u in range(n):
-            if u not in reached:
-                ids = np.fromiter(reached, dtype=np.int64)
-                v = int(_rank(ids, _sq_dists(self._vecs[ids], self._vecs[u]), 1)[0])
-                adj[u].add(v)
-                adj[v].add(u)
-                reached |= self._component(adj, u)
-        deg = np.array([len(links) for links in adj], dtype=np.int64)
-        packed = np.full((n + 1, deg.max()), n, dtype=np.int32)
-        for u, links in enumerate(adj):
-            packed[u, :deg[u]] = sorted(links)
-        self._adj[0], self._deg[0] = packed, deg
+        rows = self._adj[0][:n]
+        src = np.repeat(np.arange(n), self._deg[0])
+        dst = rows[rows != n].astype(np.int64)
+        # each edge in both directions, once, as sorted keys u * n + v; by a
+        # sort and a neighbor compare, since numpy 2.4's np.unique hashes
+        # before it sorts and takes about 40x as long on these keys
+        keys = np.concatenate((src * n + dst, dst * n + src))
+        del src, dst
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        graph, deg = _pack_keys(keys, n)
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[n] = True  # the sentinel
+        _reach(graph, reached, self.entry)
+        repairs = []
+        while not reached.all():
+            # the lowest unreached id joins its nearest reached node, and its
+            # whole component is reached with it
+            u = int(np.argmin(reached))
+            ids = np.flatnonzero(reached[:n])
+            v = int(_rank(ids, _sq_dists(self._vecs[ids], self._vecs[u]), 1)[0])
+            repairs += [u * n + v, v * n + u]
+            _reach(graph, reached, u)
+        if repairs:
+            graph, deg = _pack_keys(np.sort(np.concatenate((keys, repairs))), n)
+        self._adj[0], self._deg[0] = graph, deg
 
-    @staticmethod
-    def _component(adj: list[set], start: int) -> set:
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return seen
+
+def _pack_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted edge keys u * n + v as a padded adjacency (row u holds u's
+    links in ascending order, then the sentinel n; row n is all sentinel)
+    and its degrees."""
+    u = keys // n
+    deg = np.bincount(u, minlength=n)
+    slot = np.arange(keys.size)
+    slot -= (np.cumsum(deg) - deg)[u]
+    packed = np.full((n + 1, deg.max()), n, dtype=np.int32)
+    packed[u, slot] = keys % n
+    return packed, deg
+
+
+def _reach(adj: np.ndarray, reached: np.ndarray, start: int) -> None:
+    """Mark every node joined to `start` on the padded adjacency `adj` in
+    `reached`, one frontier of rows per round; the nodes already marked stop
+    the walk, the sentinel among them."""
+    reached[start] = True
+    front = np.array([start])
+    while front.size:
+        nbrs = adj[front].ravel()
+        front = np.unique(nbrs[~reached[nbrs]])
+        reached[front] = True
 
 
 def hnsw_build(store: VectorStore, params: HnswParams) -> HnswIndex:

@@ -205,6 +205,9 @@ def teacher_student_mse(teacher: EncoderModel, student, data: np.ndarray) -> flo
 
 # -- synthetic benchmark task ------------------------------------------------
 
+_NOISE_ROWS = 1024  # rows of task noise per draw; even
+
+
 @dataclass
 class TaskSpec:
     num_clusters: int
@@ -241,10 +244,15 @@ def make_synthetic_task(config: EncoderConfig, spec: TaskSpec) -> SyntheticTask:
     codes = rng.normals(k * config.output_dim).reshape(k, config.output_dim)
     codes /= np.linalg.norm(codes, axis=1, keepdims=True)
     labels = np.arange(n, dtype=np.int64) % k
-    noise = rng.normals(n * config.input_dim, sigma=spec.noise)
-    inputs = prototypes[labels] + noise.reshape(n, config.input_dim)
-    return SyntheticTask(inputs.astype(tensor.FLOAT), labels,
-                         codes.astype(tensor.FLOAT))
+    inputs = np.empty((n, config.input_dim), dtype=tensor.FLOAT)
+    # the noise comes a block of rows at a time, straight into `inputs`; an
+    # even row count per block keeps every draw to whole Box-Muller pairs,
+    # so the stream is that of one draw of all n rows
+    for start in range(0, n, _NOISE_ROWS):
+        rows = labels[start:start + _NOISE_ROWS]
+        noise = rng.normals(rows.size * config.input_dim, sigma=spec.noise)
+        inputs[start:start + rows.size] = prototypes[rows] + noise.reshape(rows.size, -1)
+    return SyntheticTask(inputs, labels, codes.astype(tensor.FLOAT))
 
 
 def make_synthetic_teacher(config: EncoderConfig,

@@ -14,6 +14,13 @@ Stream layout, fixed by this module:
   uses the shifted map ``((x >> 11) + 1) * 2**-53`` in (0, 1] so the log is
   always finite.
 
+Bulk draws run in fixed blocks of ``_BLOCK_WORDS`` words: ``raw_u64`` runs
+the cipher over one block's counters at a time into one preallocated
+output, and ``normals`` transforms one block of whole pairs at a time. Each
+word depends only on its counter and each variate only on its pair, so the
+stream is the same as one pass over the whole draw would give, and the
+scratch arrays stay a few MB however many words are drawn.
+
 Integer and uniform outputs are bit-reproducible everywhere (pure integer
 arithmetic plus exact float scaling). Normal variates additionally go
 through libm's log/cos/sin, so they are bit-reproducible per platform but
@@ -35,6 +42,9 @@ _SH32 = np.uint64(32)
 _ROUNDS = 10
 
 _U64_TO_UNIT = 2.0 ** -53
+# words per block of a bulk draw; a multiple of 4 (whole cipher blocks) and
+# of 2 (whole Box-Muller pairs)
+_BLOCK_WORDS = 1 << 15
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -107,14 +117,16 @@ class Rng:
         """Next n raw 64-bit words of the stream."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        first_block = self._pos // 4
-        last_block = (self._pos + n + 3) // 4
-        words = philox4x64(self._key, first_block, last_block - first_block).ravel()
-        offset = self._pos - first_block * 4
-        self._pos += n
-        return words[offset:offset + n]
+        out = np.empty(n, dtype=np.uint64)
+        pos, end = self._pos, self._pos + n
+        # runs start on cipher-block boundaries, so each covers whole blocks
+        for start in range(pos - pos % 4, end, _BLOCK_WORDS):
+            stop = min(start + _BLOCK_WORDS, end)
+            words = philox4x64(self._key, start // 4, (stop - start + 3) // 4).ravel()
+            first = max(start, pos)
+            out[first - pos:stop - pos] = words[first - start:stop - start]
+        self._pos = end
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 uniforms in [0, 1); consumes n words."""
@@ -126,19 +138,20 @@ class Rng:
 
     def normals(self, n: int, sigma: float = 1.0) -> np.ndarray:
         """n float64 N(0, sigma^2) draws via Box-Muller; consumes 2*ceil(n/2) words."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        npairs = (n + 1) // 2
-        words = self.raw_u64(2 * npairs)
-        # radius uniform in (0, 1], angle uniform in [0, 1)
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U64_TO_UNIT
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.empty(2 * npairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return sigma * out[:n]
+        out = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _BLOCK_WORDS):
+            block = out[start:start + _BLOCK_WORDS]
+            words = self.raw_u64(block.size + block.size % 2)
+            # radius uniform in (0, 1], angle uniform in [0, 1)
+            u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U64_TO_UNIT
+            u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * math.pi * u2
+            block[0::2] = r * np.cos(theta)
+            # an odd last block drops the sine of its last pair
+            block[1::2] = (r * np.sin(theta))[:block.size // 2]
+            block *= sigma
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n raw words."""

@@ -389,7 +389,77 @@ def test_lsh_word_layout_equals_bytewise_hamming(case, nbits, seed):
     assert np.array_equal(lsh_search(index, q, k), ann._rank(np.arange(len(vecs)), hamming, k))
 
 
+def test_lsh_codes_in_row_blocks_equal_one_projection():
+    """Rows coded a block at a time get the bits one projection of the whole
+    store gives, across block edges and a partial last block."""
+    rng = Rng(23)
+    n = 2 * ann._LSH_ROWS + 3
+    vecs = np.floor(2.0 * rng.normals(n * 12).reshape(n, 12)).astype(np.float32)  # exact zeros
+    index = lsh_build(VectorStore(vecs), LshParams(nbits=70, seed=2))
+    bits = vecs.astype(np.float64) @ index.hyperplanes.T.astype(np.float64) >= 0.0
+    assert np.array_equal(index.codes, np.packbits(bits, axis=1, bitorder="little"))
+
+
 # -- HNSW ----------------------------------------------------------------------
+
+def finalize_reference(adj0: np.ndarray, deg0: np.ndarray, entry: int, vecs: np.ndarray):
+    """Layer 0 finalized with Python sets: symmetrize, then join each
+    component cut off from the entry, lowest unreached id first, to that
+    id's nearest reached node. Rows sorted, padded with the sentinel n."""
+    n = len(deg0)
+    rows = [adj0[u, :deg0[u]].tolist() for u in range(n)]
+    adj = [set(row) for row in rows]
+    for u, row in enumerate(rows):
+        for v in row:
+            adj[v].add(u)
+
+    def component(start):
+        seen, stack = {start}, [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        return seen
+
+    reached = component(entry)
+    for u in range(n):
+        if u not in reached:
+            ids = np.array(sorted(reached))
+            v = int(ann._rank(ids, ann._sq_dists(vecs[ids], vecs[u]), 1)[0])
+            adj[u].add(v)
+            adj[v].add(u)
+            reached |= component(u)
+    packed = np.full((n + 1, max(map(len, adj))), n, dtype=np.int32)
+    for u, links in enumerate(adj):
+        packed[u, :len(links)] = sorted(links)
+    return packed
+
+
+@given(st.integers(2, 5), st.integers(5, 40), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_hnsw_finalize_equals_set_reference(groups, size, dim, interleave, nan_row, data_seed):
+    """The array finalize packs the same layer 0 as the set-based one, on
+    far-apart groups of grid points (ties, duplicates, many repairs), with
+    a NaN row or without."""
+    n = groups * size
+    group = np.arange(n) % groups if interleave else np.arange(n) // size
+    u = Rng(data_seed).uniforms_open(n * dim).reshape(n, dim)
+    vecs = (np.floor(3.0 * u) + 100.0 * group[:, None]).astype(np.float32)
+    if nan_row:
+        vecs[n // 2, 0] = np.nan
+    store = VectorStore(vecs)
+    index = ann.HnswIndex(store, HnswParams(M=2, ef_construction=1, seed=0),
+                          [int(i % 7 == 3) for i in range(n)])
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            index._insert(i)
+        adj0, deg0 = index._adj[0].copy(), index._deg[0].copy()
+        index._finalize_layer0()
+        want = finalize_reference(adj0, deg0, index.entry, store.vectors64)
+    assert np.array_equal(index._adj[0], want)
+    assert np.array_equal(index._deg[0], (want[:n] != n).sum(axis=1))
 
 def test_hnsw_single_point():
     store = VectorStore(np.array([[1.0, 2.0]], np.float32))

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_matrix
 from ternkit.ann import evaluate_retrieval
-from ternkit.distill import (AdamState, TaskSpec, TrainConfig, adam_step,
-                             distill, holdout_split, lr_at,
+from ternkit.distill import (_NOISE_ROWS, AdamState, TaskSpec, TrainConfig, adam_step,
+                             distill, holdout_split, lr_at, make_synthetic_task,
                              make_synthetic_teacher, mse_loss,
                              teacher_student_mse)
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY,
@@ -213,6 +213,19 @@ def test_synthetic_teacher_deterministic():
     assert model_digest(t1) == model_digest(t2)
     assert np.array_equal(task1.inputs, task2.inputs)
     assert np.array_equal(task1.labels, task2.labels)
+
+
+def test_synthetic_task_noise_blocks_equal_one_draw():
+    """Noise drawn a block of rows at a time equals one draw of all of it,
+    with an odd input width and a partial last block."""
+    config = EncoderConfig(7, 8, 5, 1, seed=1)
+    n = 2 * _NOISE_ROWS + 5
+    task = make_synthetic_task(config, TaskSpec(3, n, noise=0.7, seed=3))
+    rng = Rng(3)
+    prototypes = rng.normals(3 * 7).reshape(3, 7)
+    rng.normals(3 * 5)  # the codes
+    noise = rng.normals(n * 7, sigma=0.7).reshape(n, 7)
+    assert np.array_equal(task.inputs, (prototypes[np.arange(n) % 3] + noise).astype(np.float32))
 
 
 def test_task_spec_rejects_degenerate_clusters():

@@ -213,6 +213,52 @@ def test_golden_hnsw_repair():
     assert hnsw_layer0_connected(index)
 
 
+HNSW_REPAIR_CHAIN = {
+    "levels": "d60aca2e2bbb4f5250cf9fcca44101d0fd71fc0b84ada37d7d9bf5ee7d99b435",
+    "neighbors": "1f3c2fad16518bd7ab81b0f519e94b83542d6b49be538df39462d0725e3e5eee",
+    "top8": "e044d278e6a89af016bebe1025441b7e4cfc201bc28972a99f94fb613d80c133",
+}
+
+
+def test_golden_hnsw_repair_order():
+    """Ten groups about 1000 apart, interleaved by id, with M=2 and a beam
+    of one: seven components are cut off from the entry point. Each repair
+    joins the lowest unreached id to its nearest reached node, and most
+    reach a component an earlier repair brought in, so the graph depends
+    on the order of the repairs."""
+    rng = Rng(31)
+    groups, size, dim = 10, 30, 8
+    n = groups * size
+    centers = 1000.0 * rng.uniforms_open(groups * dim).reshape(groups, dim)
+    group = np.arange(n) % groups
+    vecs = centers[group] + rng.uniforms_open(n * dim).reshape(n, dim)
+    store = VectorStore(vecs.astype(np.float32))
+    index = hnsw_build(store, HnswParams(M=2, ef_construction=1, ef_search=8, seed=1))
+    # (lowest unreached id, its nearest reached node), in repair order; each
+    # repair after the second joins a component an earlier one brought in:
+    # 5 that of 0, 6 that of 5, 32 and 58 that of 1, and 57 that of 6
+    for u, v in [(0, 238), (1, 241), (5, 80), (6, 125), (32, 22), (57, 7), (58, 48)]:
+        assert v in index.neighbors[u][0] and u in index.neighbors[v][0]
+    queries = store.vectors[[0, 5, 57, n - 1]]
+    got = {
+        "levels": _digest(np.array(index.levels, "<i8")),
+        "neighbors": hashlib.sha256(json.dumps(index.neighbors).encode()).hexdigest(),
+        "top8": _digest(*(np.asarray(hnsw_search(index, q, 8), "<i8") for q in queries)),
+    }
+    assert got == HNSW_REPAIR_CHAIN
+    assert hnsw_layer0_connected(index)
+
+
+def test_golden_hnsw_single_node():
+    """One node: no links, and layer 0 keeps its 2M-wide all-sentinel rows."""
+    store = VectorStore(np.array([[0.5, -2.0, 7.0]], np.float32))
+    index = hnsw_build(store, HnswParams(M=3, seed=4))
+    assert (index.levels, index.neighbors, index.entry, index.max_level) == ([0], [[[]]], 0, 0)
+    assert [a.tolist() for a in index._adj] == [[[1] * 6, [1] * 6]]
+    assert [d.tolist() for d in index._deg] == [[0]]
+    assert hnsw_search(index, np.zeros(3, np.float32), 1).tolist() == [0]
+
+
 # -- distillation ----------------------------------------------------------------
 
 DISTILL = {

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ternkit import rng as rng_module
 from ternkit.rng import Rng, philox4x64, splitmix64
 
 
@@ -76,3 +79,44 @@ def test_integers_within_bound():
 def test_integers_rejects_bad_bound():
     with pytest.raises(ValueError):
         Rng(1).integers(0, 5)
+
+
+# sha256 of each method's draws of BLOCK - 1, BLOCK and BLOCK + 1 values, each
+# from a fresh Rng(2024) after 3 words, plus the next raw word after each
+# draw; recorded before bulk draws were split into blocks
+BLOCK = 32768
+STREAMS = {
+    "raw_u64": "2b1ba3b4b074e792e2076ebdc6d9b4db55d37655c35d5ebf25c5b65cd97e1205",
+    "uniforms": "28eef644d0e0aa23743f5f63f8b657f82b37d101a61a833c4a19ea6f1331ba05",
+    "uniforms_open": "3ea8ca2c66589fc76333b81dd4d3e551a6eab1a2f007cb018b52c34b33e5b07a",
+    "normals": "b8518b687d3d36a58f7323132fcc6e6eabfdf7f44bd46bd1dcc58f5e3519844a",
+    "permutation": "bfcffc2b7b539ab8b5715ae933477efa7c3544cf0055060169dc58d219c647c9",
+}
+
+
+def test_golden_streams_across_block_edges():
+    """Draws one short of, exactly at and one past a block, from a position
+    that is not on a cipher block's boundary, so runs start mid-block and
+    the last one is partial. The normals are odd counts too, with sigma != 1.
+    Normal variates hold per platform (libm); the others everywhere."""
+    assert rng_module._BLOCK_WORDS == BLOCK
+    got = {}
+    for method, kwargs in [("raw_u64", {}), ("uniforms", {}), ("uniforms_open", {}),
+                           ("normals", {"sigma": 2.5}), ("permutation", {})]:
+        h = hashlib.sha256()
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1):
+            r = Rng(2024)
+            r.raw_u64(3)
+            out = getattr(r, method)(n, **kwargs)
+            h.update(out.astype(out.dtype.newbyteorder("<")).tobytes())
+            h.update(r.raw_u64(1).astype("<u8").tobytes())
+        got[method] = h.hexdigest()
+    assert got == STREAMS
+
+
+def test_empty_draws_consume_nothing_and_negative_counts_raise():
+    r = Rng(3)
+    assert r.normals(0).shape == (0,) and r.raw_u64(0).shape == (0,)
+    assert np.array_equal(r.raw_u64(2), Rng(3).raw_u64(2))
+    with pytest.raises(ValueError):
+        r.raw_u64(-1)
