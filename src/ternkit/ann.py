@@ -4,8 +4,9 @@ Four index families over a fixed vector store, each with one build and one
 search function (`{kind}_build`, `{kind}_search`; flat search needs no build
 and searches the store itself): exact brute-force L2, an inverted-file index
 over seeded k-means cells, random-hyperplane LSH ranked by Hamming distance,
-and a hierarchical navigable-small-world graph. All distances are squared L2
-in float64, and ties always break toward the smaller id.
+and a hierarchical navigable-small-world graph. The store holds each vector
+once, as float32; all distances are squared L2 in float64, widened from it
+exactly, and ties always break toward the smaller id.
 
 Exact top-k (flat search, the scan of IVF's probed cells, and IVF's
 nearest-centroid assignment) runs in two steps. A screen takes approximate
@@ -22,9 +23,9 @@ computation bit for bit, and exhaustively-probed IVF reproduces brute force,
 tie order included. Non-finite stores and queries, and magnitudes the float32
 products could overflow, skip the screen.
 
-LSH holds its sign codes as a (words, n) array of 64-bit words and counts
-the Hamming distance of a query to every code with one XOR and one popcount
-per word.
+LSH writes its sign codes straight into a (words, n) array of 64-bit words
+and counts the Hamming distance of a query to every code with one XOR and
+one popcount per word.
 
 HNSW inserts and queries walk each layer with one frontier-batched beam, in
 the manner of DiskANN's beam search (Subramanya et al., NeurIPS 2019) but
@@ -56,12 +57,11 @@ _KMEANS_ITERS = 10  # Lloyd iterations of an IVF build
 class VectorStore:
     """Vectors with implicit stable ids 0..N-1.
 
-    The float64 rows, their squared norms and the largest norm (NaN or inf
-    when a row is not finite) are computed once here, so `vectors` must not
-    change afterwards."""
+    The rows are held once, as float32. Their float64 squared norms and the
+    largest norm (NaN or inf when a row is not finite) are computed once
+    here, so `vectors` must not change afterwards."""
 
     vectors: np.ndarray
-    vectors64: np.ndarray = field(init=False, repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
     max_norm: float = field(init=False, repr=False)
 
@@ -69,8 +69,8 @@ class VectorStore:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=FLOAT)
         if self.vectors.ndim != 2 or self.vectors.shape[0] < 1 or self.vectors.shape[1] < 1:
             raise ValueError(f"vectors must be a non-empty 2-D array, got {self.vectors.shape}")
-        self.vectors64 = self.vectors.astype(np.float64)
-        self.sq_norms = np.einsum("ij,ij->i", self.vectors64, self.vectors64)
+        v64 = self.vectors.astype(np.float64)
+        self.sq_norms = np.einsum("ij,ij->i", v64, v64)
         self.max_norm = float(np.sqrt(self.sq_norms.max()))
 
     def __len__(self) -> int:
@@ -82,9 +82,9 @@ class VectorStore:
 
 
 def _sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared L2 distances over the last axis, float64. Row-wise, so subsets
-    (and stacks of rows) reproduce exactly."""
-    diff = np.asarray(vectors, dtype=np.float64) - np.asarray(query, dtype=np.float64)
+    """Squared L2 distances over the last axis, widened to float64 in the
+    subtraction. Row-wise, so subsets (and stacks of rows) reproduce exactly."""
+    diff = np.subtract(vectors, query, dtype=np.float64)
     diff *= diff
     return np.add.reduce(diff, axis=-1)
 
@@ -168,7 +168,7 @@ def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
         ids = keep if ids is None else ids[keep]
     elif ids is None:
         ids = np.arange(n)
-    return _rank(ids, _sq_dists(store.vectors64[ids], q64), k)
+    return _rank(ids, _sq_dists(store.vectors[ids], q64), k)
 
 
 def _check_query(query: np.ndarray, store: VectorStore, k: int) -> np.ndarray:
@@ -238,9 +238,9 @@ class IvfIndex:
 def _kmeans(store: VectorStore, nlist: int, seed: int) -> np.ndarray:
     """Seeded Lloyd iterations; empty cells re-seed to the farthest point."""
     rng = Rng(seed)
-    rows = store.vectors64
-    cols = rows.T.copy()  # contiguous, so bincount need not copy each column
-    centroids = rows[np.sort(rng.permutation(len(rows))[:nlist])]
+    rows = store.vectors
+    cols = rows.T.astype(np.float64, order="C")  # so bincount need not copy each column
+    centroids = rows[np.sort(rng.permutation(len(rows))[:nlist])].astype(np.float64)
     for _ in range(_KMEANS_ITERS):
         assign = _assign(store, centroids)
         counts = np.bincount(assign, minlength=nlist)
@@ -278,7 +278,7 @@ def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
             keep = np.ones((min(step, n - start), nlist), dtype=bool)
         point, cell = np.nonzero(keep)
         d = np.full(keep.shape, np.inf)
-        d[point, cell] = _sq_dists(store.vectors64[start + point], centroids[cell])
+        d[point, cell] = _sq_dists(store.vectors[start + point], centroids[cell])
         assign[start:start + step] = np.argmin(d, axis=1)
     return assign
 
@@ -319,18 +319,18 @@ class LshParams:
 
 class LshIndex:
     """Sign codes of the store under `hyperplanes`. The codes are held once,
-    as a (words, n) uint64 array: each row's bytes zero-padded to a whole
-    number of words, so the pad bits XOR to 0. `codes` gives the packed
+    as a (words, n) uint64 array: each row's bits LSB-first, zero-padded to a
+    whole number of words, so the pad bits XOR to 0. `codes` gives the packed
     bytes back. `planes64`, the float64 transposed planes the build coded
     the store with, codes the queries too."""
 
     def __init__(self, store: VectorStore, params: LshParams, hyperplanes: np.ndarray,
-                 planes64: np.ndarray, codes: np.ndarray):
+                 planes64: np.ndarray, words: np.ndarray):
         self.store = store
         self.params = params
         self.hyperplanes = hyperplanes
         self._planes64 = planes64
-        self._words = _code_words(codes).T.copy()
+        self._words = words
 
     @property
     def codes(self) -> np.ndarray:
@@ -338,24 +338,21 @@ class LshIndex:
         return self._words.T.copy().view(np.uint8)[:, :(self.params.nbits + 7) // 8].copy()
 
 
-_LSH_ROWS = 256  # rows projected per block by `_lsh_code`
+_LSH_ROWS = 256  # rows projected per block by `_lsh_words`
 
 
-def _lsh_code(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
+def _lsh_words(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
     """Sign bits of the projections onto the columns of `planes64`
-    (dot >= 0 -> 1), packed LSB-first per row; projected a block of
-    `_LSH_ROWS` rows at a time."""
-    codes = np.empty((len(vectors), (planes64.shape[1] + 7) // 8), dtype=np.uint8)
+    (dot >= 0 -> 1), packed LSB-first into each row's zero-padded uint64
+    words, as a (words, n) array; a block of `_LSH_ROWS` rows at a time."""
+    nbits = planes64.shape[1]
+    words = np.empty(((nbits + 63) // 64, len(vectors)), dtype=np.uint64)
     for start in range(0, len(vectors), _LSH_ROWS):
-        bits = vectors[start:start + _LSH_ROWS].astype(np.float64) @ planes64 >= 0.0
-        codes[start:start + _LSH_ROWS] = np.packbits(bits, axis=1, bitorder="little")
-    return codes
-
-
-def _code_words(codes: np.ndarray) -> np.ndarray:
-    """Packed code rows as uint64 words, each row zero-padded to whole words."""
-    words = np.zeros((codes.shape[0], -(-codes.shape[1] // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, :codes.shape[1]] = codes
+        rows = vectors[start:start + _LSH_ROWS].astype(np.float64)
+        bits = np.zeros((len(rows), 64 * len(words)), dtype=bool)  # the pad bits stay 0
+        np.greater_equal(rows @ planes64, 0.0, out=bits[:, :nbits])
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        words[:, start:start + len(rows)] = packed.view(np.uint64).T
     return words
 
 
@@ -364,15 +361,15 @@ def lsh_build(store: VectorStore, params: LshParams) -> LshIndex:
     planes = rng.normals(params.nbits * store.dim).reshape(params.nbits, store.dim)
     planes = planes.astype(FLOAT)
     planes64 = planes.T.astype(np.float64)
-    return LshIndex(store, params, planes, planes64, _lsh_code(store.vectors, planes64))
+    return LshIndex(store, params, planes, planes64, _lsh_words(store.vectors, planes64))
 
 
 def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
     """Rank by Hamming distance between sign codes, ties by smaller id."""
     query = _check_query(query, index.store, k)
-    qwords = _code_words(_lsh_code(query[None, :], index._planes64))[0]
+    qwords = _lsh_words(query[None, :], index._planes64)
     # exact for nbits < 2**32, and cheaper to accumulate than the default uint64
-    hamming = np.bitwise_count(index._words ^ qwords[:, None]).sum(axis=0, dtype=np.uint32)
+    hamming = np.bitwise_count(index._words ^ qwords).sum(axis=0, dtype=np.uint32)
     return _rank(np.arange(len(index.store)), hamming, k)
 
 
@@ -418,7 +415,6 @@ class HnswIndex:
     def __init__(self, store: VectorStore, params: HnswParams, levels: list[int]):
         self.store = store
         self.params = params
-        self._vecs = store.vectors64
         self.levels = levels
         n = len(store)
         widths = [2 * params.M] + [params.M] * max(levels)
@@ -439,7 +435,7 @@ class HnswIndex:
         yet expanded, keeps the ids no round has seen yet, each once, and
         trims the beam with them back to ef; the members that came in this
         round are the next round's frontier."""
-        adj, vecs = self._adj[layer], self._vecs
+        adj, vecs = self._adj[layer], self.store.vectors
         # per call, so searches stay reentrant; 0 marks an id not seen yet,
         # and one array both drops seen ids and dedupes the rest
         seen = np.zeros(len(vecs) + 1, dtype=np.intp)
@@ -470,7 +466,8 @@ class HnswIndex:
         if self.entry < 0:
             self.entry, self.max_level = i, level
             return
-        q = self._vecs[i]
+        vecs = self.store.vectors
+        q = vecs[i].astype(np.float64)
         m = self.params.M
         ep = np.array([self.entry], dtype=np.int32)
         for lc in range(self.max_level, -1, -1):
@@ -489,7 +486,7 @@ class HnswIndex:
                 # a full node keeps the nearest `width` of its links and i, by (distance, id)
                 full = links[full]
                 cand = np.column_stack((adj[full], np.full(full.size, i, dtype=np.int32)))
-                d = _sq_dists(self._vecs[cand], self._vecs[full][:, None])
+                d = _sq_dists(vecs[cand], vecs[full][:, None])
                 adj[full] = np.take_along_axis(cand, np.lexsort((cand, d))[:, :-1], axis=1)
         if level > self.max_level:
             self.entry, self.max_level = i, level
@@ -518,7 +515,7 @@ class HnswIndex:
             # whole component is reached with it
             u = int(np.argmin(reached))
             ids = np.flatnonzero(reached[:n])
-            v = int(_rank(ids, _sq_dists(self._vecs[ids], self._vecs[u]), 1)[0])
+            v = int(_rank(ids, _sq_dists(self.store.vectors[ids], self.store.vectors[u]), 1)[0])
             repairs += [u * n + v, v * n + u]
             _reach(graph, reached, u)
         if repairs:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .encoder import EncoderConfig, EncoderModel, architecture_parity, require_ints
+from .encoder import EncoderConfig, EncoderModel, architecture_parity, require_ints, require_reals
 from .rng import Rng
 
 
@@ -47,8 +47,14 @@ class TrainConfig:
 
     def __post_init__(self):
         require_ints(self, "epochs", "lr_step_epochs", "batch_size", "seed")
-        if self.lr_initial <= 0:
-            raise ValueError(f"lr_initial must be positive, got {self.lr_initial}")
+        require_reals(self, "beta", "lr_initial", "lr_factor", "adam_beta1", "adam_beta2",
+                      "adam_eps")
+        for name in ("beta", "lr_initial", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr_step_epochs < 1:
@@ -57,8 +63,6 @@ class TrainConfig:
             raise ValueError(f"lr_factor must be in (0, 1], got {self.lr_factor}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -221,12 +225,14 @@ class TaskSpec:
     def __post_init__(self):
         require_ints(self, "num_clusters", "num_points", "seed", "teacher_epochs",
                      "teacher_batch_size")
+        require_reals(self, "noise", "teacher_lr")
         if self.num_clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.num_clusters}")
         if self.num_points < self.num_clusters:
             raise ValueError("need at least one point per cluster")
-        if self.noise <= 0:
-            raise ValueError(f"noise must be positive, got {self.noise}")
+        for name in ("noise", "teacher_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

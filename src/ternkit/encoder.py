@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ def require_ints(config, *names: str) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_reals(config, *names: str) -> None:
+    """Raise ValueError unless each named field is a finite real number
+    (integers included); bools, strings, NaN and infinities are rejected."""
+    for name in names:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

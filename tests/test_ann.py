@@ -384,7 +384,8 @@ def test_lsh_word_layout_equals_bytewise_hamming(case, nbits, seed):
     index = lsh_build(VectorStore(vecs), LshParams(nbits=nbits, seed=seed))
     codes = index.codes
     assert codes.shape == (len(vecs), (nbits + 7) // 8) and codes.dtype == np.uint8
-    qcode = ann._lsh_code(q[None, :], index.hyperplanes.T.astype(np.float64))
+    qbits = q[None, :].astype(np.float64) @ index.hyperplanes.T.astype(np.float64) >= 0.0
+    qcode = np.packbits(qbits, axis=1, bitorder="little")
     hamming = np.bitwise_count(codes ^ qcode).sum(axis=1)
     assert np.array_equal(lsh_search(index, q, k), ann._rank(np.arange(len(vecs)), hamming, k))
 
@@ -457,7 +458,7 @@ def test_hnsw_finalize_equals_set_reference(groups, size, dim, interleave, nan_r
             index._insert(i)
         adj0, deg0 = index._adj[0].copy(), index._deg[0].copy()
         index._finalize_layer0()
-        want = finalize_reference(adj0, deg0, index.entry, store.vectors64)
+        want = finalize_reference(adj0, deg0, index.entry, store.vectors)
     assert np.array_equal(index._adj[0], want)
     assert np.array_equal(index._deg[0], (want[:n] != n).sum(axis=1))
 

@@ -209,6 +209,35 @@ def test_non_integer_config_field_exits_2(capsys, tmp_path, task_files,
     assert f"{field} must be an integer" in err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("distill", "adam_beta2", "x"),
+    ("distill", "adam_beta1", 5.0),
+    ("distill", "adam_eps", -1.0),
+    ("distill", "beta", math.nan),
+    ("make-task", "noise", math.nan),
+    ("make-task", "noise", math.inf),
+    ("make-task", "teacher_lr", math.nan),
+    ("make-task", "teacher_lr", "x"),
+])
+def test_bad_real_config_field_exits_2(capsys, tmp_path, task_files, command, field, value):
+    """Float fields must be finite numbers in range; anything else is an
+    input error that names the field."""
+    teacher, data, labels = task_files
+    if command == "distill":
+        cfg = train_config_file(tmp_path, **{field: value})
+        args = ["--data", str(data), "--teacher", str(teacher), "--out", str(tmp_path / "s")]
+    else:
+        raw = {"encoder": {"input_dim": 8, "hidden_dim": 8, "output_dim": 8, "num_blocks": 1},
+               "task": {"num_clusters": 4, "num_points": 240, "teacher_epochs": 1, field: value}}
+        cfg = tmp_path / "task.json"
+        cfg.write_text(json.dumps(raw))
+        args = ["--out-teacher", str(teacher), "--out-data", str(data),
+                "--out-labels", str(labels)]
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), *args)
+    assert code == 2, err
+    assert f"{field} must be" in err
+
+
 def test_distill_deterministic_reruns(capsys, tmp_path, task_files):
     teacher, data, _ = task_files
     cfg = train_config_file(tmp_path)

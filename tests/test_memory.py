@@ -38,6 +38,21 @@ def _store() -> VectorStore:
     return VectorStore(normalize_rows(rows))
 
 
+def test_store_holds_one_float32_copy():
+    """A store of float32 rows keeps them as given, plus their float64
+    squared norms; no second copy of the rows."""
+    rows = _store().vectors
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = VectorStore(rows)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert store.vectors is rows
+    assert held <= 0.2 * MB  # (2.60 MB)
+
+
 def test_normals_peak_within_twice_output():
     out, peak = traced_peak(lambda: Rng(0).normals(640_000))  # (5.0x)
     assert peak <= 2 * out.nbytes
