@@ -1,8 +1,9 @@
 """ternkit: ternary-weight embedding models at desk scale.
 
 Quantize dense linear layers to {-1, 0, +1} with a beta-scaled threshold,
-recover accuracy by self-distillation from the full-precision model,
-execute the result through a bit-plane kernel (every product is by -1, 0 or
+written straight into two bit planes (the one stored ternary form; there is
+no int8 trit type), recover accuracy by self-distillation from the
+full-precision model, execute the result through a bit-plane kernel (every product is by -1, 0 or
 +1, so each is exact, the sum accumulates in float64, and gamma and bias
 touch each output once), and measure embedding quality with built-in
 nearest-neighbor retrieval.
@@ -17,10 +18,9 @@ from .distill import (AdamState, TaskSpec, TrainConfig, adam_step, distill,
 from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
                       MODE_TERNARY, PackedEncoder, export_packed, model_digest,
                       replace_linears)
-from .packed import PackedTernaryMatrix, pack, packed_gemm, packed_gemv, storage_bytes
+from .packed import PackedTernaryMatrix, packed_gemm, packed_gemv, storage_bytes
 from .rng import Rng
 from .tensor import gaussian_fill, gelu, layer_norm, matmul
-from .ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
-                      ternarize)
+from .ternary import beta_sweep, compute_threshold, sparsity, ternarize
 
 __version__ = "0.1.0"

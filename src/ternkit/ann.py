@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoder import require_ints
 from .rng import Rng
 from .tensor import FLOAT
 
@@ -172,11 +173,11 @@ def _exact_top_k(store: VectorStore, query: np.ndarray, k: int,
 
 
 def _check_query(query: np.ndarray, store: VectorStore, k: int) -> np.ndarray:
-    """The query as a float32 vector of the store's dim; k must be in
+    """The query as a float32 vector of shape (dim,); k must be in
     [1, len(store)]."""
-    query = np.asarray(query, dtype=FLOAT).reshape(-1)
-    if query.shape[0] != store.dim:
-        raise ValueError(f"query dim {query.shape[0]} != store dim {store.dim}")
+    query = np.asarray(query, dtype=FLOAT)
+    if query.shape != (store.dim,):
+        raise ValueError(f"query shape {query.shape} != ({store.dim},)")
     if not 1 <= k <= len(store):
         raise ValueError(f"k must be in [1, {len(store)}], got {k}")
     return query
@@ -220,6 +221,7 @@ class IvfParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "nlist", "nprobe", "seed")
         if self.nlist < 1:
             raise ValueError(f"nlist must be >= 1, got {self.nlist}")
         if not 1 <= self.nprobe <= self.nlist:
@@ -313,6 +315,7 @@ class LshParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "nbits", "seed")
         if self.nbits < 1:
             raise ValueError(f"nbits must be >= 1, got {self.nbits}")
 
@@ -322,15 +325,19 @@ class LshIndex:
     as a (words, n) uint64 array: each row's bits LSB-first, zero-padded to a
     whole number of words, so the pad bits XOR to 0. `codes` gives the packed
     bytes back. `planes64`, the float64 transposed planes the build coded
-    the store with, codes the queries too."""
+    the store with, codes the queries too; it is the only copy of them."""
 
-    def __init__(self, store: VectorStore, params: LshParams, hyperplanes: np.ndarray,
-                 planes64: np.ndarray, words: np.ndarray):
+    def __init__(self, store: VectorStore, params: LshParams, planes64: np.ndarray,
+                 words: np.ndarray):
         self.store = store
         self.params = params
-        self.hyperplanes = hyperplanes
         self._planes64 = planes64
         self._words = words
+
+    @property
+    def hyperplanes(self) -> np.ndarray:
+        """(nbits, dim) float32 planes; exact, as they were drawn as float32."""
+        return self._planes64.T.astype(FLOAT)
 
     @property
     def codes(self) -> np.ndarray:
@@ -359,9 +366,8 @@ def _lsh_words(vectors: np.ndarray, planes64: np.ndarray) -> np.ndarray:
 def lsh_build(store: VectorStore, params: LshParams) -> LshIndex:
     rng = Rng(params.seed)
     planes = rng.normals(params.nbits * store.dim).reshape(params.nbits, store.dim)
-    planes = planes.astype(FLOAT)
-    planes64 = planes.T.astype(np.float64)
-    return LshIndex(store, params, planes, planes64, _lsh_words(store.vectors, planes64))
+    planes64 = planes.astype(FLOAT).T.astype(np.float64)
+    return LshIndex(store, params, planes64, _lsh_words(store.vectors, planes64))
 
 
 def lsh_search(index: LshIndex, query: np.ndarray, k: int) -> np.ndarray:
@@ -383,6 +389,7 @@ class HnswParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "M", "ef_construction", "ef_search", "seed")
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if self.ef_construction < 1 or self.ef_search < 1:

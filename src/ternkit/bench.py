@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .packed import pack, packed_gemv, storage_bytes
+from .packed import packed_gemv, storage_bytes
 from .rng import Rng
 from .tensor import FLOAT, gaussian_fill
-from .ternary import DEFAULT_BETA, compute_threshold, ternarize
+from .ternary import DEFAULT_BETA, compute_threshold, ternarize, ternary_dense
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -58,15 +58,14 @@ def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0) -> dict:
     rng = Rng(seed)
     w = gaussian_fill(rng, rows, cols, 1.0)
     x = rng.normals(cols).astype(FLOAT)
-    t = ternarize(w, compute_threshold(w, DEFAULT_BETA))
-    p = pack(t)
+    p = ternarize(w, compute_threshold(w, DEFAULT_BETA))
     env = _environment_note()
 
     dense_ns = _time_loop(lambda: w @ x, reps)
     packed_ns = _time_loop(lambda: packed_gemv(p, x), reps)
 
     # correctness re-check against the dense effective weight, once per run
-    expected = t.dense().astype(np.float64) @ x.astype(np.float64)
+    expected = ternary_dense(w, DEFAULT_BETA)[0].astype(np.float64) @ x.astype(np.float64)
     got = packed_gemv(p, x).astype(np.float64)
     denom = 1.0 + np.abs(expected).max()
     check = float(np.abs(got - expected).max() / denom)

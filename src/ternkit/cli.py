@@ -22,7 +22,6 @@ from .distill import (TaskSpec, TrainConfig, distill, holdout_split,
                       make_synthetic_teacher, teacher_student_mse)
 from .encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, PackedEncoder,
                       replace_linears)
-from .packed import pack
 from .storage import FormatError
 from .ternary import beta_sweep, compute_threshold, sparsity, ternarize
 
@@ -40,6 +39,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _holdout_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be finite and in [0, 1), got {value}")
     return value
 
 
@@ -97,12 +103,12 @@ def _load_weight_matrix(path) -> np.ndarray:
 def cmd_ternarize(args) -> int:
     w = _load_weight_matrix(args.weights)
     gamma = compute_threshold(w, args.beta)
-    t = ternarize(w, gamma)
-    storage.save_packed_layer(args.out, pack(t))
-    s = sparsity(t)
-    _emit({"op": "ternarize", "rows": t.rows, "cols": t.cols, "beta": args.beta,
+    p = ternarize(w, gamma)
+    storage.save_packed_layer(args.out, p)
+    s = sparsity(p)
+    _emit({"op": "ternarize", "rows": p.rows, "cols": p.cols, "beta": args.beta,
            "gamma": gamma, "sparsity": s, "out": str(args.out)})
-    _note(f"ternarized {t.rows}x{t.cols}: beta={args.beta} gamma={gamma:.6g} "
+    _note(f"ternarized {p.rows}x{p.cols}: beta={args.beta} gamma={gamma:.6g} "
           f"sparsity={s:.4f} -> {args.out}")
     return 0
 
@@ -268,7 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
-    p.add_argument("--holdout", type=float, default=0.1)
+    p.add_argument("--holdout", type=_holdout_fraction, default=0.1)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("eval-retrieval", help="precision/recall of a model's embeddings")

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor
-from .packed import PackedTernaryMatrix, pack, packed_gemm
+from .packed import PackedTernaryMatrix, packed_gemm
 from .rng import Rng
 from .ternary import DEFAULT_BETA, compute_threshold, ternarize, ternary_dense
 
@@ -141,8 +141,7 @@ class LinearLayer:
         return ternary_dense(self.weight, self.beta)  # gamma rounded to float32
 
     def ternary_export(self) -> PackedTernaryMatrix:
-        gamma = compute_threshold(self.weight, self.beta)
-        return pack(ternarize(self.weight, gamma), self.bias)
+        return ternarize(self.weight, compute_threshold(self.weight, self.beta), self.bias)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The layer's output, caching nothing (inference); forward caches."""

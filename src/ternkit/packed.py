@@ -1,5 +1,7 @@
 """Bit-plane representation of ternary matrices and the ternary kernel.
 
+This is ternkit's only stored form of a ternarized layer: ``ternary.ternarize``
+writes the planes directly, and no int8 trit matrix is kept beside them.
 A packed matrix stores two per-row bitmasks: the plus plane marks +1 trits,
 the minus plane marks -1 trits. Bit j of a row byte-string is bit ``j % 8``
 (least significant first) of byte ``j // 8``; each row is padded to a whole
@@ -27,7 +29,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .tensor import FLOAT
-from .ternary import TernaryMatrix
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -70,6 +71,10 @@ class PackedTernaryMatrix:
                  minus_plane: np.ndarray, gamma: float, bias: np.ndarray | None = None):
         if rows < 1 or cols < 1:
             raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
+        with np.errstate(over="ignore"):  # past float32's range gamma rounds to inf
+            gamma = float(np.float32(gamma))
+        if gamma < 0 or not np.isfinite(gamma):
+            raise ValueError(f"gamma must be finite and non-negative in float32, got {gamma}")
         nbytes = row_bytes(cols)
         plus_plane = np.ascontiguousarray(plus_plane, dtype=np.uint8)
         minus_plane = np.ascontiguousarray(minus_plane, dtype=np.uint8)
@@ -77,8 +82,6 @@ class PackedTernaryMatrix:
             raise ValueError(
                 f"plane shape must be ({rows}, {nbytes}), got {plus_plane.shape} and {minus_plane.shape}")
         _check_planes(cols, plus_plane, minus_plane)
-        if gamma < 0 or not np.isfinite(gamma):
-            raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
         if bias is not None:
             bias = np.ascontiguousarray(bias, dtype=FLOAT)
             if bias.shape != (rows,):
@@ -87,7 +90,7 @@ class PackedTernaryMatrix:
         self.cols = cols
         self.plus_plane = plus_plane
         self.minus_plane = minus_plane
-        self.gamma = float(np.float32(gamma))
+        self.gamma = gamma
         self.bias = bias
         self._operand: np.ndarray | sparse.csr_matrix | None = None
 
@@ -110,13 +113,6 @@ def _plane_trits(p: PackedTernaryMatrix) -> np.ndarray:
     plus, minus = (np.unpackbits(plane, axis=1, count=p.cols, bitorder="little").view(np.int8)
                    for plane in (p.plus_plane, p.minus_plane))
     return plus - minus
-
-
-def pack(t: TernaryMatrix, bias: np.ndarray | None = None) -> PackedTernaryMatrix:
-    """Pack a trit matrix into two LSB-first bit-planes. Lossless."""
-    plus = np.packbits(t.trits == 1, axis=1, bitorder="little")
-    minus = np.packbits(t.trits == -1, axis=1, bitorder="little")
-    return PackedTernaryMatrix(t.rows, t.cols, plus, minus, t.gamma, bias)
 
 
 def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ on the closed band [-gamma, gamma]. Boundary entries with |W| == gamma land
 on 0, so ties are deterministic. gamma doubles as the scale the forward
 pass applies to the trit matrix.
 
+``ternarize`` writes the partition straight into the two bit planes of a
+``packed.PackedTernaryMatrix``; there is no separate int8 trit type. The
+float32 effective weight gamma * trits comes from ``ternary_dense``.
+
 beta controls the width of the zero band and therefore the sparsity; the
 TWN baseline corresponds to beta = 0.75 under a Gaussian weight
 assumption. Default beta is 2.
@@ -21,40 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .packed import PackedTernaryMatrix
 from .tensor import FLOAT, as_matrix
 
 DEFAULT_BETA = 2.0
-
-
-@dataclass(eq=False)
-class TernaryMatrix:
-    """Trit matrix in {-1, 0, +1} plus its scale gamma.
-
-    gamma is 0 only for the degenerate cases (all-zero source, or an
-    explicit zero threshold); otherwise it is positive.
-    """
-
-    rows: int
-    cols: int
-    trits: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        self.trits = np.ascontiguousarray(self.trits, dtype=np.int8)
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"dimensions must be positive, got {self.rows}x{self.cols}")
-        if self.trits.shape != (self.rows, self.cols):
-            raise ValueError(f"trits shape {self.trits.shape} != ({self.rows}, {self.cols})")
-        if self.gamma < 0 or not np.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
-        bad = (self.trits < -1) | (self.trits > 1)
-        if bad.any():
-            raise ValueError("trits must lie in {-1, 0, +1}")
-        self.gamma = float(np.float32(self.gamma))
-
-    def dense(self) -> np.ndarray:
-        """Effective weight gamma * trits as float32."""
-        return (np.float32(self.gamma) * self.trits.astype(FLOAT)).astype(FLOAT)
 
 
 def compute_threshold(w: np.ndarray, beta: float) -> float:
@@ -72,8 +46,8 @@ def _threshold(w: np.ndarray, beta: float) -> float:
 def ternary_dense(w: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """gamma * f(W | gamma) as float32, and gamma rounded to float32, in one pass.
 
-    Equal to ``ternarize(w, compute_threshold(w, beta)).dense()`` and its
-    gamma, without the int8 trit matrix or a separate finiteness scan: a
+    The same trits as ``ternarize(w, compute_threshold(w, beta))``'s planes,
+    times the same float32 gamma, without a separate finiteness scan: a
     non-finite weight makes the float64 sum, and so gamma, non-finite
     (finite float32 magnitudes cannot overflow it), and raises ValueError.
     """
@@ -82,28 +56,31 @@ def ternary_dense(w: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     if not math.isfinite(gamma):
         raise ValueError("weights contains non-finite entries")
     g = FLOAT(gamma)
-    dense = (w > gamma).astype(FLOAT)  # the trits as float32, then times gamma,
-    dense -= w < -gamma                # which is TernaryMatrix.dense()'s product
+    dense = (w > gamma).astype(FLOAT)  # the trits as float32, then times gamma
+    dense -= w < -gamma
     dense *= g
     return dense, float(g)
 
 
-def ternarize(w: np.ndarray, gamma: float) -> TernaryMatrix:
-    """Partition W at the closed band [-gamma, gamma].
+def ternarize(w: np.ndarray, gamma: float, bias: np.ndarray | None = None) -> PackedTernaryMatrix:
+    """Partition W at the closed band [-gamma, gamma] into bit planes.
 
-    Entries strictly above gamma map to +1, strictly below -gamma to -1,
-    everything else (including exact boundary hits) to 0.
+    Entries strictly above gamma set a plus bit, strictly below -gamma a
+    minus bit, everything else (including exact boundary hits) neither.
+    A gamma that is negative, or not finite in float32, raises ValueError.
     """
     w = as_matrix(w, "weights")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    trits = np.where(w > gamma, 1, np.where(w < -gamma, -1, 0)).astype(np.int8)
-    return TernaryMatrix(w.shape[0], w.shape[1], trits, gamma)
+    with np.errstate(over="ignore"):  # a gamma past float32's range compares as inf
+        plus = np.packbits(w > gamma, axis=1, bitorder="little")
+        minus = np.packbits(w < -gamma, axis=1, bitorder="little")
+    return PackedTernaryMatrix(w.shape[0], w.shape[1], plus, minus, gamma, bias)
 
 
-def sparsity(t: TernaryMatrix) -> float:
+def sparsity(p: PackedTernaryMatrix) -> float:
     """Fraction of zero trits."""
-    return float(np.count_nonzero(t.trits == 0)) / t.trits.size
+    size = p.rows * p.cols
+    nonzero = sum(int(np.bitwise_count(plane).sum()) for plane in (p.plus_plane, p.minus_plane))
+    return float(size - nonzero) / size
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from ternkit.encoder import DEFAULT_BETA, MODE_FULL, EncoderConfig, EncoderModel
+from ternkit.packed import _plane_trits
 from ternkit.rng import Rng
 
 settings.register_profile("ternkit", deadline=None, derandomize=True)
@@ -25,6 +26,11 @@ def init_model(config: EncoderConfig, dtype, mode: str = MODE_FULL,
     arrays = EncoderModel.init(config).parameters()
     return EncoderModel.from_arrays(config, {k: v.astype(dtype) for k, v in arrays.items()},
                                     mode, beta)
+
+
+def plane_dense(p) -> np.ndarray:
+    """Effective weight gamma * trits as float32, the trits read off p's planes."""
+    return (np.float32(p.gamma) * _plane_trits(p).astype(np.float32)).astype(np.float32)
 
 
 def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:

@@ -27,9 +27,9 @@ from ternkit.distill import (TaskSpec, TrainConfig, distill, holdout_split,
                              teacher_student_mse)
 from ternkit.encoder import (EncoderConfig, EncoderModel, LinearLayer,
                              MODE_TERNARY, replace_linears)
-from ternkit.packed import pack, packed_gemv, storage_bytes
+from ternkit.packed import _plane_trits, packed_gemv, storage_bytes
 from ternkit.rng import Rng
-from ternkit.ternary import compute_threshold, sparsity, ternarize
+from ternkit.ternary import compute_threshold, sparsity, ternarize, ternary_dense
 
 
 def check(criterion: int, passed: bool, detail: str, elapsed: float,
@@ -91,14 +91,14 @@ def test_criterion_01_partition_oracle_equivalence():
         cols = 1 + int(rng.integers(96, 1)[0])
         w = random_matrix(rng, rows, cols)
         gamma = compute_threshold(w, betas[i % 5])
-        got = ternarize(w, gamma).trits
+        got = _plane_trits(ternarize(w, gamma))
         want = (np.sign(w) * (np.abs(w) > gamma)).astype(np.int8)
         exact &= np.array_equal(got, want)
     # literal three-branch evaluation on a subsample, element by element
     for i in range(30):
         w = random_matrix(rng, 5, 7)
         gamma = compute_threshold(w, betas[i % 5])
-        trits = ternarize(w, gamma).trits
+        trits = _plane_trits(ternarize(w, gamma))
         for r in range(5):
             for c in range(7):
                 v = float(w[r, c])
@@ -116,13 +116,14 @@ def test_criterion_02_packed_kernel_equivalence():
         rows = 1 + int(rng.integers(48, 1)[0])
         cols = 1 + int(rng.integers(80, 1)[0])
         w = random_matrix(rng, rows, cols)
-        t = ternarize(w, compute_threshold(w, [0.75, 1.0, 2.0, 3.0][i % 4]))
+        beta = [0.75, 1.0, 2.0, 3.0][i % 4]
         bias = rng.normals(rows).astype(np.float32) if i % 3 == 0 else None
+        p = ternarize(w, compute_threshold(w, beta), bias)
         x = rng.normals(cols).astype(np.float32)
-        want = t.dense().astype(np.float64) @ x.astype(np.float64)
+        want = ternary_dense(w, beta)[0].astype(np.float64) @ x.astype(np.float64)
         if bias is not None:
             want = want + bias
-        worst = max(worst, max_rel_err(packed_gemv(pack(t, bias=bias), x), want))
+        worst = max(worst, max_rel_err(packed_gemv(p, x), want))
     check(2, worst <= 1e-5, f"packed_gemv vs dense oracle, 500 cases, worst rel {worst:.2e}",
           time.perf_counter() - start, limit=10)
 
@@ -257,7 +258,7 @@ def test_criterion_08_storage_ratios(tmp_path):
     plane_ratios = []
     for side in (256, 512):
         w = random_matrix(Rng(side), side, side)
-        p = pack(ternarize(w, compute_threshold(w, 2.0)))
+        p = ternarize(w, compute_threshold(w, 2.0))
         plane_ratios.append(storage_bytes(p) / (4 * side * side))
     ok = ckpt_ratio <= 0.10 and all(r <= 0.07 for r in plane_ratios)
     check(8, ok, f"checkpoint ratio {ckpt_ratio:.4f} <= 0.10; per-layer ratios "

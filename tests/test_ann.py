@@ -257,7 +257,8 @@ def test_screen_keeps_only_a_handful(monkeypatch):
 
 
 def test_search_validation():
-    """All four searches reject a query of the wrong dim, k = 0 and k > len(store)."""
+    """All four searches reject a query of the wrong dim or shape, k = 0 and
+    k > len(store)."""
     store = gaussian_store(Rng(4), 10, 3)
     indexes = {"flat": store}
     for kind in ("ivf", "lsh", "hnsw"):
@@ -268,6 +269,8 @@ def test_search_validation():
         for dim, k in ((2, 3), (3, 0), (3, 11)):
             with pytest.raises(ValueError):
                 search(index, np.zeros(dim, np.float32), k)
+        with pytest.raises(ValueError):  # size equals dim, shape does not
+            search(index, np.zeros((3, 1), np.float32), 3)
 
 
 # -- IVF -----------------------------------------------------------------------
@@ -586,6 +589,19 @@ def test_hnsw_params_validation():
         HnswParams(M=1)
     with pytest.raises(ValueError):
         HnswParams(ef_construction=0)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (IvfParams, {"nlist": 2.5, "nprobe": 1}), (IvfParams, {"nlist": 4, "nprobe": 2.0}),
+    (IvfParams, {"nlist": 4, "nprobe": 2, "seed": 1.5}), (IvfParams, {"nlist": True, "nprobe": 1}),
+    (LshParams, {"nbits": 8.5}), (LshParams, {"nbits": 8, "seed": 0.5}),
+    (HnswParams, {"M": 4.5}), (HnswParams, {"ef_construction": 10.0}),
+    (HnswParams, {"ef_search": True}), (HnswParams, {"seed": "1"}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(f"{k}={v[k]!r}" for k in v))
+def test_index_params_reject_non_integers(cls, kwargs):
+    """Floats, bools and strings fail when the params are made, not late in the build."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        cls(**kwargs)
 
 
 # -- metrics --------------------------------------------------------------------

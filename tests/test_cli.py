@@ -104,6 +104,18 @@ def test_ternarize_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("ternarize", "--beta", "nan"), ("ternarize", "--beta", "inf"),
+                                  ("ternarize", "--beta", "1e300"),  # gamma overflows float32
+                                  ("sparsity-sweep", "--betas", "1,nan")])
+def test_non_finite_gamma_exits_2(capsys, tmp_path, weights_file, argv):
+    command, *rest = argv
+    out = tmp_path / "w.tpkd"
+    extra = ["--out", str(out)] if command == "ternarize" else []
+    code, records, err = run_cli(capsys, command, "--weights", str(weights_file), *rest, *extra)
+    assert code == 2 and not records and not out.exists()
+    assert "invalid input" in err
+
+
 def test_sweep_increasing_sparsity(capsys, weights_file):
     code, records, err = run_cli(capsys, "sparsity-sweep", "--weights",
                                  str(weights_file), "--betas", "1,2,3")
@@ -167,6 +179,15 @@ def test_distill_runs_and_writes_checkpoint(capsys, tmp_path, task_files):
     assert log.exists() and out.exists()
     from ternkit.encoder import PackedEncoder
     assert isinstance(storage.load_checkpoint(out), PackedEncoder)
+
+
+@pytest.mark.parametrize("fraction", ["inf", "nan", "-0.5", "1.5"])
+def test_distill_holdout_out_of_range_usage_error(tmp_path, fraction):
+    with pytest.raises(SystemExit) as exc:
+        main(["distill", "--config", str(tmp_path / "c.json"), "--data", str(tmp_path / "d"),
+              "--teacher", str(tmp_path / "t"), "--out", str(tmp_path / "o"),
+              "--holdout", fraction])
+    assert exc.value.code == 3
 
 
 def test_distill_epochs_zero_exits_2(capsys, tmp_path, task_files):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ternkit.packed
-from conftest import init_model, max_rel_err, random_matrix
+from conftest import init_model, max_rel_err, plane_dense, random_matrix
 from ternkit.distill import mse_loss
 from ternkit.encoder import (EncoderConfig, EncoderModel, LinearLayer,
                              MODE_FULL, MODE_TERNARY, PackedEncoder,
@@ -163,7 +163,7 @@ def test_ptq_consistency_is_exact():
     manual = teacher.clone()
     for _, layer in manual.linear_layers():
         gamma = compute_threshold(layer.weight, 2.0)
-        layer.weight = ternarize(layer.weight, gamma).dense()
+        layer.weight = plane_dense(ternarize(layer.weight, gamma))
     x = random_matrix(Rng(4), 7, 8)
     assert np.array_equal(student.forward(x), manual.forward(x))
 

@@ -29,9 +29,9 @@ from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_sea
 from ternkit.distill import TrainConfig, _train, distill
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, PackedEncoder,
                              model_digest, replace_linears)
-from ternkit.packed import pack, packed_gemm, packed_gemv
+from ternkit.packed import PackedTernaryMatrix, packed_gemm, packed_gemv
 from ternkit.rng import Rng
-from ternkit.ternary import TernaryMatrix, compute_threshold, ternarize
+from ternkit.ternary import compute_threshold, ternarize
 
 MODEL_DIGEST = "a8bc7743964bc105574af02fc2c6a2aece1185a49f179d2ac88d8ee5ceb85e80"
 DENSE = ("a7df6211fa6f524a07d224046ffe28a9b89b77c2a86fbeac8565f733735e6195",
@@ -86,34 +86,39 @@ def _uniform(rng: Rng, *shape) -> np.ndarray:
     return (2.0 * rng.uniforms_open(n) - 1.0).reshape(shape).astype(np.float32)
 
 
-def _cubic_layer(rows: int, cols: int, beta: float, seed: int) -> TernaryMatrix:
+def _cubic_weights(rows: int, cols: int, seed: int) -> np.ndarray:
     # cubing spreads the uniforms so beta 2 leaves ~20% of the trits nonzero
-    w = (_uniform(Rng(seed), rows, cols).astype(np.float64) ** 3).astype(np.float32)
+    return (_uniform(Rng(seed), rows, cols).astype(np.float64) ** 3).astype(np.float32)
+
+
+def _cubic_layer(rows: int, cols: int, beta: float, seed: int) -> PackedTernaryMatrix:
+    w = _cubic_weights(rows, cols, seed)
     return ternarize(w, compute_threshold(w, beta))
 
 
-def _kernel_layers() -> dict[str, TernaryMatrix]:
+def _kernel_layers() -> dict[str, PackedTernaryMatrix]:
     layers = {}
     for i, (rows, cols) in enumerate(((64, 64), (256, 64), (64, 256))):
         for beta in (2.0, 0.75):
             layers[f"{rows}x{cols}-beta{beta}"] = _cubic_layer(rows, cols, beta, 100 + i)
-    layers["all-zero"] = TernaryMatrix(16, 24, np.zeros((16, 24), np.int8), 0.5)
-    t = _cubic_layer(40, 32, 0.75, 200)
-    t.trits[::3] = 0
-    t.trits[-4:] = 0  # trailing empty rows too
-    layers["empty-rows"] = t
+    layers["all-zero"] = ternarize(np.zeros((16, 24), np.float32), 0.5)
+    w = _cubic_weights(40, 32, 200)
+    gamma = compute_threshold(w, 0.75)  # from the full weights, before the rows are zeroed
+    w[::3] = 0
+    w[-4:] = 0  # trailing empty rows too
+    layers["empty-rows"] = ternarize(w, gamma)
     layers["ragged-cols"] = _cubic_layer(37, 29, 0.75, 300)
     return layers
 
 
-def _kernel_digest(t: TernaryMatrix, seed: int) -> str:
+def _kernel_digest(t: PackedTernaryMatrix, seed: int) -> str:
     rng = Rng(seed)
     x = _uniform(rng, t.cols, 512)
     xt = _uniform(rng, 512, t.cols)
     bias = _uniform(rng, t.rows)
     h = hashlib.sha256()
     for b in (None, bias):
-        p = pack(t, bias=b)
+        p = PackedTernaryMatrix(t.rows, t.cols, t.plus_plane, t.minus_plane, t.gamma, b)
         for out in (packed_gemv(p, x[:, 0]), packed_gemm(p, x[:, :1]),
                     packed_gemm(p, x), packed_gemm(p, xt.T)):
             h.update(out.astype("<f4").tobytes())
@@ -130,7 +135,7 @@ def test_golden_kernel_outputs_per_operand(monkeypatch, min_fill, kind):
     # fill 0 makes every operand dense, fill 2 (never reached) every one CSR
     monkeypatch.setattr(packed, "_DENSE_MIN_FILL", min_fill)
     layers = _kernel_layers()
-    assert all(type(pack(t).operand()) is kind for t in layers.values())
+    assert all(type(t.operand()) is kind for t in layers.values())
     assert {name: _kernel_digest(t, 7) for name, t in layers.items()} == KERNEL
 
 
@@ -138,7 +143,7 @@ def test_operand_rule_by_density():
     dense = {"64x64-beta0.75", "256x64-beta0.75", "64x256-beta0.75", "empty-rows",
              "ragged-cols"}
     for name, t in _kernel_layers().items():
-        op = pack(t).operand()
+        op = t.operand()
         assert type(op) is (np.ndarray if name in dense else sparse.csr_matrix), name
 
 

@@ -12,7 +12,7 @@ from conftest import random_matrix
 from ternkit import storage
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                              PackedEncoder, replace_linears)
-from ternkit.packed import pack, storage_bytes
+from ternkit.packed import storage_bytes
 from ternkit.rng import Rng
 from ternkit.storage import (BadMagicError, ConfigError, IntegrityError,
                              TruncatedFileError, UnsupportedVersionError)
@@ -21,9 +21,8 @@ from ternkit.ternary import compute_threshold, ternarize
 
 def random_packed(rng, rows, cols, bias=False):
     w = random_matrix(rng, rows, cols)
-    t = ternarize(w, compute_threshold(w, 1.0))
     b = rng.normals(rows).astype(np.float32) if bias else None
-    return pack(t, bias=b)
+    return ternarize(w, compute_threshold(w, 1.0), b)
 
 
 # -- tensor container ------------------------------------------------------------

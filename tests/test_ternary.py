@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_matrix
+from conftest import plane_dense, random_matrix
+from ternkit.packed import _plane_trits
 from ternkit.rng import Rng
-from ternkit.ternary import (TernaryMatrix, beta_sweep, compute_threshold, sparsity,
-                             ternarize, ternary_dense)
+from ternkit.ternary import beta_sweep, compute_threshold, sparsity, ternarize, ternary_dense
 
 finite_f32 = st.floats(min_value=-100, max_value=100, width=32,
                        allow_nan=False, allow_infinity=False)
@@ -48,21 +48,21 @@ def test_threshold_rejects_bad_beta():
 def test_ternarize_hand_case():
     w = np.array([[3, -1], [2, 0]], dtype=np.float32)
     t = ternarize(w, 1.5)
-    assert t.trits.tolist() == [[1, 0], [1, 0]]
+    assert _plane_trits(t).tolist() == [[1, 0], [1, 0]]
     assert t.gamma == pytest.approx(1.5)
 
 
 def test_ternarize_zero_threshold_is_sign():
     w = np.array([[0.5, -0.25, 0.0]], dtype=np.float32)
     t = ternarize(w, 0.0)
-    assert t.trits.tolist() == [[1, -1, 0]]
+    assert _plane_trits(t).tolist() == [[1, -1, 0]]
 
 
 def test_ternarize_band_absorbs_everything():
     w = np.array([[0.5, -0.5], [0.1, 0.0]], dtype=np.float32)
     t = ternarize(w, 0.5)
     # boundary |w| == gamma lands in the zero band
-    assert not t.trits.any()
+    assert not _plane_trits(t).any()
 
 
 def test_ternarize_rejects_negative_gamma():
@@ -74,17 +74,12 @@ def test_all_zero_matrix_pipeline():
     w = np.zeros((3, 5), np.float32)
     gamma = compute_threshold(w, 2.0)
     t = ternarize(w, gamma)
-    assert gamma == 0.0 and not t.trits.any()
+    assert gamma == 0.0 and not _plane_trits(t).any()
 
 
 def test_sparsity_count():
-    t = TernaryMatrix(2, 2, np.array([[1, 0], [1, 0]], np.int8), 1.0)
+    t = ternarize(np.array([[1, 0], [1, 0]], np.float32), 0.5)
     assert sparsity(t) == 0.5
-
-
-def test_ternary_matrix_validates_trits():
-    with pytest.raises(ValueError):
-        TernaryMatrix(1, 2, np.array([[2, 0]], np.int8), 1.0)
 
 
 @given(weight_matrices(), st.floats(0.1, 5.0), st.floats(0.01, 100.0))
@@ -94,7 +89,7 @@ def test_scale_equivariance_of_trits(w, beta, c):
     scaled = (w.astype(np.float64) * c).astype(np.float32)
     g2 = compute_threshold(scaled, beta)
     assert g2 == pytest.approx(c * g1, rel=1e-5, abs=1e-12)
-    assert np.array_equal(ternarize(w, g1).trits, ternarize(scaled, g2).trits)
+    assert np.array_equal(_plane_trits(ternarize(w, g1)), _plane_trits(ternarize(scaled, g2)))
 
 
 @given(weight_matrices(), st.floats(0.1, 5.0))
@@ -102,7 +97,7 @@ def test_scale_equivariance_of_trits(w, beta, c):
 def test_sign_symmetry(w, beta):
     t_pos = ternarize(w, compute_threshold(w, beta))
     t_neg = ternarize(-w, compute_threshold(-w, beta))
-    assert np.array_equal(t_neg.trits, -t_pos.trits)
+    assert np.array_equal(_plane_trits(t_neg), -_plane_trits(t_pos))
 
 
 @given(weight_matrices(), st.floats(0.1, 3.0), st.floats(0.0, 3.0))
@@ -122,7 +117,7 @@ def test_eq_oracle_equivalence_on_random_matrices():
         w = random_matrix(rng, rows, cols)
         beta = betas[i % len(betas)]
         gamma = compute_threshold(w, beta)
-        got = ternarize(w, gamma).trits
+        got = _plane_trits(ternarize(w, gamma))
         want = np.sign(w) * (np.abs(w) > gamma)
         assert np.array_equal(got, want.astype(np.int8))
 
@@ -162,7 +157,7 @@ def test_beta_sweep_rejects_bad_input():
 def test_ternary_dense_equals_partition_then_scale(w, beta):
     t = ternarize(w, compute_threshold(w, beta))
     dense, gamma = ternary_dense(w, beta)
-    assert dense.dtype == np.float32 and dense.tobytes() == t.dense().tobytes()
+    assert dense.dtype == np.float32 and dense.tobytes() == plane_dense(t).tobytes()
     assert gamma == t.gamma
 
 
