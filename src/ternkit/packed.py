@@ -20,6 +20,13 @@ summation order. scipy fixes the CSR's order; BLAS picks the dense form's, so
 a dense layer's float32 output can differ between BLAS builds where float64
 sums taken in different orders round differently. The kernel goldens hold
 only where they agree.
+
+A CSR product calls scipy's private ``_sparsetools.csr_matvec`` (one column)
+or ``csr_matvecs`` (more), the kernels that ``csr_matrix @ x`` dispatches to,
+without that dispatch's per-call checks. Both add each row's terms into a
+zeroed float64 output in stored-index order, so every sum keeps the order it
+has through ``@``. Gamma then scales the float64 output in place and the
+float64 bias column, made once with the operand, is added in place.
 """
 
 from __future__ import annotations
@@ -54,6 +61,15 @@ def row_bytes(cols: int) -> int:
     return (cols + 7) // 8
 
 
+def _float32_gamma(gamma: float) -> float:
+    """gamma rounded to float32; ValueError unless that is finite and non-negative."""
+    with np.errstate(over="ignore"):  # past float32's range gamma rounds to inf
+        gamma = float(np.float32(gamma))
+    if gamma < 0 or not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite and non-negative in float32, got {gamma}")
+    return gamma
+
+
 def _check_planes(cols: int, plus_plane: np.ndarray, minus_plane: np.ndarray) -> None:
     """Raise PlaneIntegrityError if the planes overlap or set padding bits."""
     if np.any(plus_plane & minus_plane):
@@ -71,10 +87,7 @@ class PackedTernaryMatrix:
                  minus_plane: np.ndarray, gamma: float, bias: np.ndarray | None = None):
         if rows < 1 or cols < 1:
             raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-        with np.errstate(over="ignore"):  # past float32's range gamma rounds to inf
-            gamma = float(np.float32(gamma))
-        if gamma < 0 or not np.isfinite(gamma):
-            raise ValueError(f"gamma must be finite and non-negative in float32, got {gamma}")
+        gamma = _float32_gamma(gamma)
         nbytes = row_bytes(cols)
         plus_plane = np.ascontiguousarray(plus_plane, dtype=np.uint8)
         minus_plane = np.ascontiguousarray(minus_plane, dtype=np.uint8)
@@ -93,6 +106,7 @@ class PackedTernaryMatrix:
         self.gamma = gamma
         self.bias = bias
         self._operand: np.ndarray | sparse.csr_matrix | None = None
+        self._bias64: np.ndarray | None = None
 
     def operand(self) -> np.ndarray | sparse.csr_matrix:
         """The trits as a float64 matrix of ±1/0 entries, built once on first use:
@@ -105,6 +119,8 @@ class PackedTernaryMatrix:
                 # imported here: a model whose layers are all dense never loads scipy.sparse
                 from scipy import sparse
                 self._operand = sparse.csr_matrix(trits, dtype=np.float64)
+            if self.bias is not None:
+                self._bias64 = self.bias.astype(np.float64).reshape(self.rows, 1)
         return self._operand
 
 
@@ -117,9 +133,22 @@ def _plane_trits(p: PackedTernaryMatrix) -> np.ndarray:
 
 def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
     """gamma * (trits @ x) + bias in float64, rounded to float32; bias broadcasts per column."""
-    y = np.float64(p.gamma) * (p.operand() @ np.ascontiguousarray(x, dtype=np.float64))
-    if p.bias is not None:
-        y += p.bias.astype(np.float64).reshape((p.rows,) + (1,) * (x.ndim - 1))
+    op = p.operand()
+    x64 = np.ascontiguousarray(x, dtype=np.float64)
+    if isinstance(op, np.ndarray):
+        y = op @ x64
+    else:
+        from scipy.sparse import _sparsetools  # loaded with the CSR operand
+        y = np.zeros((p.rows,) + x.shape[1:])
+        if x.ndim == 1 or x.shape[1] == 1:
+            _sparsetools.csr_matvec(p.rows, p.cols, op.indptr, op.indices, op.data,
+                                    x64.ravel(), y.ravel())
+        else:
+            _sparsetools.csr_matvecs(p.rows, p.cols, x.shape[1], op.indptr, op.indices,
+                                     op.data, x64.ravel(), y.ravel())
+    y *= p.gamma
+    if p._bias64 is not None:
+        y += p._bias64 if y.ndim == 2 else p._bias64[:, 0]
     return y.astype(FLOAT)
 
 

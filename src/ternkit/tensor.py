@@ -4,6 +4,11 @@ A matrix here is a 2-D, C-contiguous ``float32`` numpy array with positive
 dimensions. Every operation validates shapes, accumulates in float64 and
 rounds once back to the input precision. BLAS picks a product's float64
 summation order, so float32 products can differ between BLAS builds.
+
+gelu, gelu_grad and layer_norm work in place on float64 buffers of their own,
+never on their inputs. Each step rounds where the fresh-array form of the same
+formula rounds, and each row reduction runs over a buffer with the input's
+memory layout, so it sums in the same order: both forms give the same bytes.
 """
 
 from __future__ import annotations
@@ -66,16 +71,25 @@ def gelu(x: np.ndarray):
     """
     x = np.asarray(x)
     x64 = x.astype(np.float64)
-    cdf = 0.5 * (1.0 + erf(x64 * _INV_SQRT2))
-    return (x64 * cdf).astype(x.dtype), cdf
+    cdf = x64 * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    x64 *= cdf
+    return x64.astype(x.dtype), cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """d/dx of gelu: Phi(x) + x * phi(x), with Phi(x) from gelu."""
     x = np.asarray(x)
     x64 = x.astype(np.float64)
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x64 * x64)
-    return (cdf + x64 * pdf).astype(x.dtype)
+    pdf = x64 * -0.5
+    pdf *= x64
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT_2PI
+    x64 *= pdf
+    x64 += cdf
+    return x64.astype(x.dtype)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -102,12 +116,13 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
         raise ValueError(f"layer_norm expects a 2-D batch, got shape {x.shape}")
     if gain.shape != (x.shape[1],) or shift.shape != (x.shape[1],):
         raise ValueError("gain/shift must match the row width")
-    x64 = x.astype(np.float64)
-    mean = x64.mean(axis=1, keepdims=True)
-    centered = x64 - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    normed = x.astype(np.float64)
+    normed -= np.add.reduce(normed, axis=1, keepdims=True) / n
+    y = normed * normed
+    var = np.add.reduce(y, axis=1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    normed = centered * inv_std
-    y = (normed * gain.astype(np.float64) + shift.astype(np.float64)).astype(x.dtype)
-    return y, normed, inv_std
-
+    normed *= inv_std
+    np.multiply(normed, gain.astype(np.float64), out=y)
+    y += shift.astype(np.float64)
+    return y.astype(x.dtype), normed, inv_std

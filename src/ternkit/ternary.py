@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed import PackedTernaryMatrix
+from .packed import PackedTernaryMatrix, _float32_gamma
 from .tensor import FLOAT, as_matrix
 
 DEFAULT_BETA = 2.0
@@ -50,16 +50,17 @@ def ternary_dense(w: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     times the same float32 gamma, without a separate finiteness scan: a
     non-finite weight makes the float64 sum, and so gamma, non-finite
     (finite float32 magnitudes cannot overflow it), and raises ValueError.
+    So does a gamma past float32's range, as in ``ternarize``.
     """
     w = np.asarray(w, dtype=FLOAT)
     gamma = _threshold(w, beta)
     if not math.isfinite(gamma):
         raise ValueError("weights contains non-finite entries")
-    g = FLOAT(gamma)
+    g = _float32_gamma(gamma)
     dense = (w > gamma).astype(FLOAT)  # the trits as float32, then times gamma
     dense -= w < -gamma
-    dense *= g
-    return dense, float(g)
+    dense *= FLOAT(g)
+    return dense, g
 
 
 def ternarize(w: np.ndarray, gamma: float, bias: np.ndarray | None = None) -> PackedTernaryMatrix:

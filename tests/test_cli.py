@@ -200,6 +200,18 @@ def test_distill_epochs_zero_exits_2(capsys, tmp_path, task_files):
     assert "epochs" in err
 
 
+def test_distill_gamma_overflow_exits_2(capsys, tmp_path, task_files):
+    """A beta whose gamma overflows float32 would train on NaN weights."""
+    teacher, data, _ = task_files
+    out = tmp_path / "s.ckpt"
+    code, records, err = run_cli(capsys, "distill", "--config",
+                                 str(train_config_file(tmp_path, beta=1e300)),
+                                 "--data", str(data), "--teacher", str(teacher),
+                                 "--out", str(out))
+    assert code == 2 and not records and not out.exists()
+    assert "float32" in err
+
+
 @pytest.mark.parametrize("command, section, field, value", [
     ("distill", None, "epochs", 2.5),
     ("distill", None, "batch_size", 16.5),

@@ -1,4 +1,4 @@
-"""Allocation budgets of the set-up and index-build paths.
+"""Allocation budgets of the set-up, index-build and packed inference paths.
 
 Each test measures the tracemalloc peak of one call, over what was already
 allocated before it. The bounds sit between the peaks of the blocked code
@@ -10,10 +10,11 @@ them.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from ternkit.ann import HnswParams, LshParams, VectorStore, hnsw_build, lsh_build, normalize_rows
 from ternkit.distill import TaskSpec, make_synthetic_task
-from ternkit.encoder import EncoderConfig
+from ternkit.encoder import MODE_TERNARY, EncoderConfig, EncoderModel, PackedEncoder, replace_linears
 from ternkit.rng import Rng
 
 MB = 1e6
@@ -77,3 +78,16 @@ def test_hnsw_build_peak():
     store = _store()
     _, peak = traced_peak(lambda: hnsw_build(store, HnswParams(M=16, ef_construction=16, seed=3)))
     assert peak <= 12 * MB  # (18.6 MB)
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.75])  # CSR and dense operands
+def test_packed_forward_peak_at_benchmark_shape(beta):
+    """One 512-row batch through the benchmark's width-256 encoder, after the
+    first forward has built every layer's operand."""
+    model = EncoderModel.init(EncoderConfig(64, 256, 64, 4, seed=7))
+    packed = PackedEncoder.from_model(replace_linears(model, MODE_TERNARY, beta))
+    rows = Rng(8).normals(512 * 64).reshape(512, 64).astype(np.float32)
+    packed.forward(rows[:1])
+    out, peak = traced_peak(lambda: packed.forward(rows))
+    assert out.shape == (512, 64)
+    assert peak <= 6 * MB  # (7.42 MB)

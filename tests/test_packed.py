@@ -138,6 +138,34 @@ def test_gemm_matches_dense_oracle():
         assert max_rel_err(packed_gemm(p, x), want) <= 1e-5
 
 
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("beta, dense", [(2.0, False), (0.75, True)])
+def test_products_bytes_equal_operand_product(beta, dense, with_bias):
+    """packed_gemv and packed_gemm round the same float64 sums as a plain
+    product with the operand, for either operand, any batch and any layout."""
+    rng = Rng(41)
+    w = random_matrix(rng, 48, 40)
+    bias = rng.normals(48).astype(np.float32) if with_bias else None
+    p = ternarize(w, compute_threshold(w, beta), bias)
+    assert isinstance(p.operand(), np.ndarray) == dense  # beta 2 keeps ~11% of trits
+
+    def reference(x):
+        y = np.float64(p.gamma) * (p.operand() @ np.ascontiguousarray(x, dtype=np.float64))
+        if bias is not None:
+            y = y + bias.astype(np.float64).reshape((48,) + (1,) * (x.ndim - 1))
+        return y.astype(np.float32)
+
+    x = random_matrix(rng, 40, 512)
+    x[:4, 0] = [0.0, -0.0, 1e-40, -3e30]
+    v = x[:, 0].copy()
+    assert packed_gemv(p, v).tobytes() == reference(v).tobytes()
+    for batch in (1, 2, 512):
+        c = np.ascontiguousarray(x[:, :batch])
+        for xb in (c, np.asfortranarray(c)):
+            got = packed_gemm(p, xb)
+            assert got.dtype == np.float32 and got.tobytes() == reference(xb).tobytes()
+
+
 def test_gemm_zero_input_broadcasts_bias():
     bias = np.array([5.0, -1.0], np.float32)
     p = make_ternary([[1, -1, 0], [0, 1, 1]], bias=bias)

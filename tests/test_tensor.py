@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from conftest import random_matrix
@@ -157,3 +160,73 @@ def test_gelu_bytes_match_erf_reference():
     want = (0.5 * x64 * (1.0 + erf(x64 * (1.0 / math.sqrt(2.0))))).astype(np.float32)
     y, _ = gelu(x)
     assert y.dtype == np.float32 and y.tobytes() == want.tobytes()
+
+
+def reference_layer_norm(x, gain, shift):
+    """layer_norm_with_cache written out with a fresh array per step."""
+    x64 = x.astype(np.float64)
+    mean = x64.mean(axis=1, keepdims=True)
+    centered = x64 - mean
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + tensor.LAYER_NORM_EPS)
+    normed = centered * inv_std
+    y = (normed * gain.astype(np.float64) + shift.astype(np.float64)).astype(x.dtype)
+    return y, normed, inv_std
+
+
+def reference_gelu(x):
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 * (1.0 / math.sqrt(2.0))))
+    return (x64 * cdf).astype(x.dtype), cdf
+
+
+def reference_gelu_grad(x, cdf):
+    x64 = x.astype(np.float64)
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x64 * x64)
+    return (cdf + x64 * pdf).astype(x.dtype)
+
+
+_EDGE_FLOATS = [float(np.float32(v))
+                for v in (0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39, 1e30, -1e30, 2.5e30, -7.5e29)]
+
+
+@st.composite
+def activation_batches(draw):
+    """float32 (rows, cols) batches, C- or F-ordered, from every finite float32
+    plus signed zeros, subnormals and magnitudes near 1e30; some rows constant."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    elements = st.one_of(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                         st.sampled_from(_EDGE_FLOATS))
+    x = draw(arrays(np.float32, (rows, cols), elements=elements))
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        x[i] = draw(elements)
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+def same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.f_contiguous == want.flags.f_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+@given(activation_batches(), st.data())
+@settings(max_examples=300)
+def test_layer_norm_bytes_equal_reference(x, data):
+    """gain and shift stay within 2**100 (1.3e30), so y cannot overflow float32."""
+    cols = x.shape[1]
+    params = arrays(np.float32, cols, elements=st.one_of(
+        st.floats(-2.0**100, 2.0**100, width=32), st.sampled_from(_EDGE_FLOATS)))
+    gain, shift = data.draw(params), data.draw(params)
+    want = reference_layer_norm(x, gain, shift)
+    y, (normed, inv_std) = tensor.layer_norm_with_cache(x, gain, shift)
+    assert all(map(same_array, (y, normed, inv_std), want))
+    assert same_array(layer_norm(x, gain, shift), want[0])
+
+
+@given(activation_batches())
+@settings(max_examples=300)
+def test_gelu_and_gelu_grad_bytes_equal_reference(x):
+    y, cdf = gelu(x)
+    want_y, want_cdf = reference_gelu(x)
+    assert same_array(y, want_y) and same_array(cdf, want_cdf)
+    assert same_array(gelu_grad(x, cdf), reference_gelu_grad(x, want_cdf))

@@ -165,6 +165,8 @@ def test_ternary_dense_boundary_ties_and_non_finite():
     w = np.array([[1.0, -1.0], [1.0, -1.0]], np.float32)  # beta 1: every |w| == gamma
     dense, gamma = ternary_dense(w, 1.0)
     assert gamma == 1.0 and not dense.any()
+    with pytest.raises(ValueError, match="float32"):  # gamma 1e300 overflows float32
+        ternary_dense(w, 1e300)
     for bad in (np.inf, -np.inf, np.nan):
         w[0, 1] = bad
         with pytest.raises(ValueError):
