@@ -19,7 +19,7 @@ from ternkit.distill import (TaskSpec, TrainConfig, distill, holdout_split,
                              make_synthetic_teacher, teacher_student_mse)
 from ternkit.encoder import (EncoderConfig, MODE_TERNARY, export_packed,
                              replace_linears)
-from ternkit.packed import storage_bytes
+from ternkit.storage import storage_bytes
 
 
 def embed(model, data):

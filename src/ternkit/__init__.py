@@ -18,8 +18,9 @@ from .distill import (AdamState, TaskSpec, TrainConfig, adam_step, distill,
 from .encoder import (EncoderConfig, EncoderModel, LinearLayer, MODE_FULL,
                       MODE_TERNARY, PackedEncoder, export_packed, model_digest,
                       replace_linears)
-from .packed import PackedTernaryMatrix, packed_gemm, packed_gemv, storage_bytes
+from .packed import PackedTernaryMatrix, packed_gemm
 from .rng import Rng
+from .storage import storage_bytes
 from .tensor import gaussian_fill, gelu, layer_norm, matmul
 from .ternary import beta_sweep, compute_threshold, sparsity, ternarize
 

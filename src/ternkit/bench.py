@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .packed import packed_gemv, storage_bytes
+from .packed import packed_gemm
 from .rng import Rng
+from .storage import storage_bytes
 from .tensor import FLOAT, gaussian_fill
 from .ternary import DEFAULT_BETA, compute_threshold, ternarize, ternary_dense
 
@@ -61,12 +62,13 @@ def bench_gemv(rows: int, cols: int, reps: int, seed: int = 0) -> dict:
     p = ternarize(w, compute_threshold(w, DEFAULT_BETA))
     env = _environment_note()
 
+    column = x[:, None]
     dense_ns = _time_loop(lambda: w @ x, reps)
-    packed_ns = _time_loop(lambda: packed_gemv(p, x), reps)
+    packed_ns = _time_loop(lambda: packed_gemm(p, column), reps)
 
     # correctness re-check against the dense effective weight, once per run
     expected = ternary_dense(w, DEFAULT_BETA)[0].astype(np.float64) @ x.astype(np.float64)
-    got = packed_gemv(p, x).astype(np.float64)
+    got = packed_gemm(p, column)[:, 0].astype(np.float64)
     denom = 1.0 + np.abs(expected).max()
     check = float(np.abs(got - expected).max() / denom)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,8 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:  # nan fails every comparison
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
 
 
@@ -63,8 +64,8 @@ def _positive_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(e))
     if not values:
         raise argparse.ArgumentTypeError("list must be non-empty")
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("all values must be positive")
+    if not all(0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError("all values must be finite and positive")
     return values
 
 

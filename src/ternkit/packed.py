@@ -21,12 +21,14 @@ a dense layer's float32 output can differ between BLAS builds where float64
 sums taken in different orders round differently. The kernel goldens hold
 only where they agree.
 
-A CSR product calls scipy's private ``_sparsetools.csr_matvec`` (one column)
-or ``csr_matvecs`` (more), the kernels that ``csr_matrix @ x`` dispatches to,
-without that dispatch's per-call checks. Both add each row's terms into a
-zeroed float64 output in stored-index order, so every sum keeps the order it
-has through ``@``. Gamma then scales the float64 output in place and the
-float64 bias column, made once with the operand, is added in place.
+``packed_gemm`` is the one product: it takes a (cols, m) input, so a single
+vector is one column. A CSR product calls scipy's private
+``_sparsetools.csr_matvec`` (one column) or ``csr_matvecs`` (more), the
+kernels that ``csr_matrix @ x`` dispatches to, without that dispatch's
+per-call checks. Both add each row's terms into a zeroed float64 output in
+stored-index order, so every sum keeps the order it has through ``@``. Gamma
+then scales the float64 output in place and the float64 bias column, built
+with the matrix, is added in place.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from .tensor import FLOAT
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-# On-disk record overhead: magic(4) + version(2) + rows(4) + cols(4) + bias flag(1).
-PACKED_RECORD_HEADER_BYTES = 15
 
 # Nonzero share at and above which the operand is dense. Where dense starts to
 # win depends on batch and working set (one thread, 2 MB L2): through the ten
@@ -106,7 +105,8 @@ class PackedTernaryMatrix:
         self.gamma = gamma
         self.bias = bias
         self._operand: np.ndarray | sparse.csr_matrix | None = None
-        self._bias64: np.ndarray | None = None
+        with np.errstate(invalid="ignore"):  # a signaling-NaN bias widens to a quiet NaN
+            self._bias64 = None if bias is None else bias.astype(np.float64).reshape(rows, 1)
 
     def operand(self) -> np.ndarray | sparse.csr_matrix:
         """The trits as a float64 matrix of ±1/0 entries, built once on first use:
@@ -119,8 +119,6 @@ class PackedTernaryMatrix:
                 # imported here: a model whose layers are all dense never loads scipy.sparse
                 from scipy import sparse
                 self._operand = sparse.csr_matrix(trits, dtype=np.float64)
-            if self.bias is not None:
-                self._bias64 = self.bias.astype(np.float64).reshape(self.rows, 1)
         return self._operand
 
 
@@ -131,16 +129,20 @@ def _plane_trits(p: PackedTernaryMatrix) -> np.ndarray:
     return plus - minus
 
 
-def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
-    """gamma * (trits @ x) + bias in float64, rounded to float32; bias broadcasts per column."""
+def packed_gemm(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
+    """gamma * (trits @ x) + bias for x of shape (cols, m), summed in float64 and
+    rounded to float32; the bias is added to every column."""
+    x = np.asarray(x, dtype=FLOAT)
+    if x.ndim != 2 or x.shape[0] != p.cols:
+        raise ValueError(f"input shape {x.shape} does not match cols {p.cols}")
     op = p.operand()
     x64 = np.ascontiguousarray(x, dtype=np.float64)
     if isinstance(op, np.ndarray):
         y = op @ x64
     else:
         from scipy.sparse import _sparsetools  # loaded with the CSR operand
-        y = np.zeros((p.rows,) + x.shape[1:])
-        if x.ndim == 1 or x.shape[1] == 1:
+        y = np.zeros((p.rows, x.shape[1]))
+        if x.shape[1] == 1:  # csr_matvecs takes ~3x as long on one column (256x256, 11% fill)
             _sparsetools.csr_matvec(p.rows, p.cols, op.indptr, op.indices, op.data,
                                     x64.ravel(), y.ravel())
         else:
@@ -148,28 +150,5 @@ def _apply(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
                                      op.data, x64.ravel(), y.ravel())
     y *= p.gamma
     if p._bias64 is not None:
-        y += p._bias64 if y.ndim == 2 else p._bias64[:, 0]
+        y += p._bias64
     return y.astype(FLOAT)
-
-
-def packed_gemv(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
-    """y_i = gamma * (sum of x over plus bits - sum over minus bits) + bias_i."""
-    x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 1 or x.shape[0] != p.cols:
-        raise ValueError(f"input length {x.shape} does not match cols {p.cols}")
-    return _apply(p, x)
-
-
-def packed_gemm(p: PackedTernaryMatrix, x: np.ndarray) -> np.ndarray:
-    """Column-wise packed_gemv: (rows x cols) @ (cols x m), bias broadcast per column."""
-    x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 2 or x.shape[0] != p.cols:
-        raise ValueError(f"input shape {x.shape} does not match cols {p.cols}")
-    return _apply(p, x)
-
-
-def storage_bytes(p: PackedTernaryMatrix) -> int:
-    """Exact on-disk size of the packed layer record."""
-    planes = 2 * p.rows * row_bytes(p.cols)
-    bias = 4 * p.rows if p.bias is not None else 0
-    return PACKED_RECORD_HEADER_BYTES + 4 + planes + bias

@@ -14,6 +14,8 @@ Tensor container ("TERN"):   magic(4) version(u16) dtype(u8) rank(u8)
 Packed layer record ("TPKD"): magic(4) version(u16) rows(u32) cols(u32)
                               gamma(f32) bias_present(u8)
                               plus_plane minus_plane [bias f32*rows]
+    The 19-byte header is one struct, which both the writer and
+    storage_bytes (the record's exact size) use.
 
 Vector dataset:               count(u32) dim(u32) then count*dim f32.
 
@@ -172,11 +174,19 @@ def load_tensor(path):
 
 # -- packed layer record ---------------------------------------------------------
 
+# magic, version, rows, cols, gamma, bias flag: 19 bytes
+_PACKED_HEADER = struct.Struct("<4sHIIfB")
+
+
+def storage_bytes(p: PackedTernaryMatrix) -> int:
+    """Exact size of the record write_packed_layer writes for p."""
+    bias = 4 * p.rows if p.bias is not None else 0
+    return _PACKED_HEADER.size + 2 * p.rows * row_bytes(p.cols) + bias
+
+
 def write_packed_layer(f, p: PackedTernaryMatrix) -> None:
-    f.write(MAGIC_PACKED)
-    f.write(struct.pack("<HII", FORMAT_VERSION, p.rows, p.cols))
-    f.write(struct.pack("<f", p.gamma))
-    f.write(struct.pack("<B", 1 if p.bias is not None else 0))
+    f.write(_PACKED_HEADER.pack(MAGIC_PACKED, FORMAT_VERSION, p.rows, p.cols, p.gamma,
+                                1 if p.bias is not None else 0))
     f.write(p.plus_plane.tobytes(order="C"))
     f.write(p.minus_plane.tobytes(order="C"))
     if p.bias is not None:
@@ -335,7 +345,7 @@ def _load_sidecar(path) -> dict:
     try:
         with open(sidecar, "r", encoding="utf-8") as f:
             meta = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed sidecar JSON: {e}") from e
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError("not a checkpoint sidecar")

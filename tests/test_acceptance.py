@@ -27,7 +27,7 @@ from ternkit.distill import (TaskSpec, TrainConfig, distill, holdout_split,
                              teacher_student_mse)
 from ternkit.encoder import (EncoderConfig, EncoderModel, LinearLayer,
                              MODE_TERNARY, replace_linears)
-from ternkit.packed import _plane_trits, packed_gemv, storage_bytes
+from ternkit.packed import _plane_trits, packed_gemm
 from ternkit.rng import Rng
 from ternkit.ternary import compute_threshold, sparsity, ternarize, ternary_dense
 
@@ -123,8 +123,8 @@ def test_criterion_02_packed_kernel_equivalence():
         want = ternary_dense(w, beta)[0].astype(np.float64) @ x.astype(np.float64)
         if bias is not None:
             want = want + bias
-        worst = max(worst, max_rel_err(packed_gemv(p, x), want))
-    check(2, worst <= 1e-5, f"packed_gemv vs dense oracle, 500 cases, worst rel {worst:.2e}",
+        worst = max(worst, max_rel_err(packed_gemm(p, x[:, None])[:, 0], want))
+    check(2, worst <= 1e-5, f"packed_gemm vs dense oracle, 500 cases, worst rel {worst:.2e}",
           time.perf_counter() - start, limit=10)
 
 
@@ -259,7 +259,7 @@ def test_criterion_08_storage_ratios(tmp_path):
     for side in (256, 512):
         w = random_matrix(Rng(side), side, side)
         p = ternarize(w, compute_threshold(w, 2.0))
-        plane_ratios.append(storage_bytes(p) / (4 * side * side))
+        plane_ratios.append(storage.storage_bytes(p) / (4 * side * side))
     ok = ckpt_ratio <= 0.10 and all(r <= 0.07 for r in plane_ratios)
     check(8, ok, f"checkpoint ratio {ckpt_ratio:.4f} <= 0.10; per-layer ratios "
                  + ", ".join(f"{r:.4f}" for r in plane_ratios) + " <= 0.07",

@@ -106,14 +106,23 @@ def test_ternarize_missing_file_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [("ternarize", "--beta", "nan"), ("ternarize", "--beta", "inf"),
                                   ("ternarize", "--beta", "1e300"),  # gamma overflows float32
-                                  ("sparsity-sweep", "--betas", "1,nan")])
+                                  ("sparsity-sweep", "--betas", "1,nan"),
+                                  ("ternarize", "--beta=-inf"),  # "-inf" alone reads as a flag
+                                  ("sparsity-sweep", "--betas", "1,inf")])
 def test_non_finite_gamma_exits_2(capsys, tmp_path, weights_file, argv):
+    """A finite beta whose gamma overflows float32 is an input error (2); a
+    non-finite beta is a usage error (3), caught before the weights load."""
     command, *rest = argv
     out = tmp_path / "w.tpkd"
     extra = ["--out", str(out)] if command == "ternarize" else []
-    code, records, err = run_cli(capsys, command, "--weights", str(weights_file), *rest, *extra)
-    assert code == 2 and not records and not out.exists()
-    assert "invalid input" in err
+    finite = rest[-1] == "1e300"
+    try:
+        code, records, err = run_cli(capsys, command, "--weights", str(weights_file),
+                                     *rest, *extra)
+    except SystemExit as exc:
+        code, records, err = exc.code, [], capsys.readouterr().err
+    assert code == (2 if finite else 3) and not records and not out.exists()
+    assert ("invalid input" if finite else "must be finite") in err
 
 
 def test_sweep_increasing_sparsity(capsys, weights_file):
@@ -377,6 +386,17 @@ def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, 
                            "--dataset", str(data), "--labels", str(labels),
                            "--index", "flat", "--k", "1")
     assert code == 2, err
+
+
+def test_eval_retrieval_sidecar_not_utf8_exits_2(capsys, tmp_path, task_files):
+    teacher, data, labels = task_files
+    sidecar = tmp_path / "teacher.ckpt.json"
+    sidecar.write_bytes(sidecar.read_bytes().replace(b'"format"', b'"\xffformat"'))
+    code, records, err = run_cli(capsys, "eval-retrieval", "--model", str(teacher),
+                                 "--dataset", str(data), "--labels", str(labels),
+                                 "--index", "flat", "--k", "1")
+    assert code == 2 and not records
+    assert "ConfigError" in err
 
 
 def test_make_task_missing_encoder_seed_is_zero(capsys, tmp_path):

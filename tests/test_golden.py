@@ -29,7 +29,7 @@ from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_sea
 from ternkit.distill import TrainConfig, _train, distill
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_TERNARY, PackedEncoder,
                              model_digest, replace_linears)
-from ternkit.packed import PackedTernaryMatrix, packed_gemm, packed_gemv
+from ternkit.packed import PackedTernaryMatrix, packed_gemm
 from ternkit.rng import Rng
 from ternkit.ternary import compute_threshold, ternarize
 
@@ -119,7 +119,7 @@ def _kernel_digest(t: PackedTernaryMatrix, seed: int) -> str:
     h = hashlib.sha256()
     for b in (None, bias):
         p = PackedTernaryMatrix(t.rows, t.cols, t.plus_plane, t.minus_plane, t.gamma, b)
-        for out in (packed_gemv(p, x[:, 0]), packed_gemm(p, x[:, :1]),
+        for out in (packed_gemm(p, x[:, :1])[:, 0], packed_gemm(p, x[:, :1]),
                     packed_gemm(p, x), packed_gemm(p, xt.T)):
             h.update(out.astype("<f4").tobytes())
     return h.hexdigest()

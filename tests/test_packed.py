@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import max_rel_err, random_matrix
-from ternkit.packed import (PACKED_RECORD_HEADER_BYTES, PackedTernaryMatrix,
-                            PlaneIntegrityError, _plane_trits, packed_gemm,
-                            packed_gemv, storage_bytes)
+from ternkit.packed import PackedTernaryMatrix, PlaneIntegrityError, _plane_trits, packed_gemm
 from ternkit.rng import Rng
+from ternkit.storage import storage_bytes
 from ternkit.ternary import compute_threshold, ternarize, ternary_dense
 
 
@@ -86,22 +85,25 @@ def test_dirty_padding_rejected():
 
 def test_gemv_identity_scaled():
     p = make_ternary(np.eye(2, dtype=np.int8), gamma=1.5)
-    out = packed_gemv(p, np.array([2.0, 4.0], np.float32))
-    assert np.allclose(out, [3.0, 6.0])
+    out = packed_gemm(p, np.array([[2.0], [4.0]], np.float32))
+    assert np.allclose(out, [[3.0], [6.0]])
 
 
 def test_gemv_zero_trits_gives_bias():
     bias = np.array([1.0, -2.0, 3.0], np.float32)
     p = make_ternary(np.zeros((3, 4), np.int8), bias=bias)
-    assert np.array_equal(packed_gemv(p, np.ones(4, np.float32)), bias)
+    assert np.array_equal(packed_gemm(p, np.ones((4, 1), np.float32)), bias[:, None])
     p2 = make_ternary(np.zeros((3, 4), np.int8))
-    assert np.array_equal(packed_gemv(p2, np.ones(4, np.float32)), np.zeros(3, np.float32))
+    assert np.array_equal(packed_gemm(p2, np.ones((4, 1), np.float32)),
+                          np.zeros((3, 1), np.float32))
 
 
 def test_gemv_length_mismatch():
     p = make_ternary([[1, 0]])
     with pytest.raises(ValueError):
-        packed_gemv(p, np.ones(3, np.float32))
+        packed_gemm(p, np.ones((3, 1), np.float32))
+    with pytest.raises(ValueError):  # a vector is passed as one column
+        packed_gemm(p, np.ones(2, np.float32))
 
 
 def test_gemv_matches_dense_oracle():
@@ -117,15 +119,7 @@ def test_gemv_matches_dense_oracle():
         want = ternary_dense(w, beta)[0].astype(np.float64) @ x.astype(np.float64)
         if bias is not None:
             want = want + bias
-        assert max_rel_err(packed_gemv(p, x), want) <= 1e-5
-
-
-def test_gemm_single_column_reduces_to_gemv():
-    rng = Rng(9)
-    w = random_matrix(rng, 6, 11)
-    p = ternarize(w, compute_threshold(w, 2.0), rng.normals(6).astype(np.float32))
-    x = rng.normals(11).astype(np.float32)
-    assert np.array_equal(packed_gemm(p, x[:, None])[:, 0], packed_gemv(p, x))
+        assert max_rel_err(packed_gemm(p, x[:, None])[:, 0], want) <= 1e-5
 
 
 def test_gemm_matches_dense_oracle():
@@ -141,8 +135,8 @@ def test_gemm_matches_dense_oracle():
 @pytest.mark.parametrize("with_bias", [False, True])
 @pytest.mark.parametrize("beta, dense", [(2.0, False), (0.75, True)])
 def test_products_bytes_equal_operand_product(beta, dense, with_bias):
-    """packed_gemv and packed_gemm round the same float64 sums as a plain
-    product with the operand, for either operand, any batch and any layout."""
+    """packed_gemm rounds the same float64 sums as a plain product with the
+    operand, for either operand, any batch and any layout."""
     rng = Rng(41)
     w = random_matrix(rng, 48, 40)
     bias = rng.normals(48).astype(np.float32) if with_bias else None
@@ -152,13 +146,11 @@ def test_products_bytes_equal_operand_product(beta, dense, with_bias):
     def reference(x):
         y = np.float64(p.gamma) * (p.operand() @ np.ascontiguousarray(x, dtype=np.float64))
         if bias is not None:
-            y = y + bias.astype(np.float64).reshape((48,) + (1,) * (x.ndim - 1))
+            y = y + bias.astype(np.float64)[:, None]
         return y.astype(np.float32)
 
     x = random_matrix(rng, 40, 512)
     x[:4, 0] = [0.0, -0.0, 1e-40, -3e30]
-    v = x[:, 0].copy()
-    assert packed_gemv(p, v).tobytes() == reference(v).tobytes()
     for batch in (1, 2, 512):
         c = np.ascontiguousarray(x[:, :batch])
         for xb in (c, np.asfortranarray(c)):
@@ -181,19 +173,19 @@ def test_gemm_shape_mismatch():
 
 def test_storage_bytes_256():
     p = make_ternary(np.zeros((256, 256), np.int8))
-    assert storage_bytes(p) == 2 * 256 * 32 + 4 + PACKED_RECORD_HEADER_BYTES
+    assert storage_bytes(p) == 2 * 256 * 32 + 19
     dense_bytes = 4 * 256 * 256
     assert (2 * 256 * 32 + 4) / dense_bytes == pytest.approx(0.0625, abs=1e-3)
 
 
 def test_storage_bytes_1x1():
     p = make_ternary([[1]])
-    assert storage_bytes(p) == 2 + 4 + PACKED_RECORD_HEADER_BYTES
+    assert storage_bytes(p) == 2 + 19
 
 
 def test_storage_bytes_with_bias():
     p = make_ternary(np.zeros((8, 8), np.int8), bias=np.zeros(8, np.float32))
-    assert storage_bytes(p) == 2 * 8 * 1 + 4 + 4 * 8 + PACKED_RECORD_HEADER_BYTES
+    assert storage_bytes(p) == 2 * 8 * 1 + 4 * 8 + 19
 
 
 def test_storage_ratio_bound_for_square_sizes():

@@ -12,10 +12,10 @@ from conftest import random_matrix
 from ternkit import storage
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                              PackedEncoder, replace_linears)
-from ternkit.packed import storage_bytes
+from ternkit.packed import packed_gemm
 from ternkit.rng import Rng
 from ternkit.storage import (BadMagicError, ConfigError, IntegrityError,
-                             TruncatedFileError, UnsupportedVersionError)
+                             TruncatedFileError, UnsupportedVersionError, storage_bytes)
 from ternkit.ternary import compute_threshold, ternarize
 
 
@@ -121,6 +121,16 @@ def test_packed_record_corrupt_overlap_is_integrity_error(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(IntegrityError):
         storage.load_packed_layer(path)
+
+
+def test_packed_record_with_signaling_nan_bias_loads():
+    # any f32 bias is valid; widening a signaling NaN must not warn (a warning is an error here)
+    p = random_packed(Rng(8), 2, 3, bias=True)
+    buf = io.BytesIO()
+    storage.write_packed_layer(buf, p)
+    raw = buf.getvalue()[:-4] + struct.pack("<I", 0x7FA00000)
+    back = storage.read_packed_layer(io.BytesIO(raw))
+    assert np.isnan(packed_gemm(back, np.ones((3, 1), np.float32))[1, 0])
 
 
 def test_packed_record_truncation(tmp_path):
@@ -342,6 +352,18 @@ def test_checkpoint_sidecar_missing_key_is_config_error(tmp_path, key):
         storage.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("save", [storage.save_checkpoint, storage.save_ternary_checkpoint])
+def test_sidecar_not_utf8_is_config_error(tmp_path, save):
+    model = replace_linears(EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=11)),
+                            MODE_TERNARY, 2.0)
+    path = tmp_path / "m.ckpt"
+    save(path, model)
+    sidecar = tmp_path / "m.ckpt.json"
+    sidecar.write_bytes(sidecar.read_bytes().replace(b'"format"', b'"\xffformat"'))
+    with pytest.raises(ConfigError, match="malformed sidecar JSON"):
+        storage.load_checkpoint(path)
+
+
 # the edit that once loaded silently: keys the packed writer never writes, and one no writer does
 FOUND_EDIT = {"beta": "garbage", "linear_mode": "bogus", "bogus_key": 1}
 
@@ -368,3 +390,54 @@ def test_sidecar_outside_schema_is_config_error(tmp_path, save, edit):
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
     with pytest.raises(ConfigError):
         storage.load_checkpoint(path)
+
+
+# -- mutation fuzzing ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_targets(tmp_path_factory):
+    """name -> (valid bytes, load) for a TPKD record and a dense and a packed
+    checkpoint sidecar; load reads the bytes it is given through the public loader."""
+    root = tmp_path_factory.mktemp("fuzz")
+    model = replace_linears(EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=13)),
+                            MODE_TERNARY, 2.0)
+    buf = io.BytesIO()
+    storage.write_packed_layer(buf, random_packed(Rng(13), 5, 11, bias=True))
+    targets = {"record": (buf.getvalue(), lambda raw: storage.read_packed_layer(io.BytesIO(raw)))}
+    for kind, save in (("dense", storage.save_checkpoint),
+                       ("packed", storage.save_ternary_checkpoint)):
+        path = root / f"{kind}.ckpt"
+        save(path, model)
+        sidecar = root / f"{kind}.ckpt.json"
+
+        def load(raw, path=path, sidecar=sidecar):
+            sidecar.write_bytes(raw)
+            return storage.load_checkpoint(path)
+        targets[f"{kind} sidecar"] = (sidecar.read_bytes(), load)
+    return targets
+
+
+def _mutate(data, raw: bytes) -> bytes:
+    """raw truncated, with one to four bits flipped, or with one slice of it
+    pasted over another."""
+    n = len(raw)
+    how = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, n - 1))]
+    if how == "flip":
+        out = bytearray(raw)
+        for bit in data.draw(st.lists(st.integers(0, 8 * n - 1), min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << bit % 8
+        return bytes(out)
+    a, b, c, d = (data.draw(st.integers(0, n)) for _ in range(4))
+    return raw[:min(c, d)] + raw[min(a, b):max(a, b)] + raw[max(c, d):]
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_record_or_sidecar_raises_only_format_error(fuzz_targets, data):
+    raw, load = fuzz_targets[data.draw(st.sampled_from(sorted(fuzz_targets)))]
+    try:
+        load(_mutate(data, raw))
+    except storage.FormatError:
+        pass  # any other exception fails the test
