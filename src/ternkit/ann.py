@@ -17,11 +17,12 @@ within twice one scalar slack of it. The slack is a rigorous bound on the
 rounding error, computed once per query (once per call for assignment) from
 the store's largest row norm, the query's norm and the dimension. The
 survivors are re-ranked with the row-wise reference formula `_sq_dists`,
-which gives each row the same value whichever rows it is computed with. So
-the ids, their order and the tie order equal those of the unscreened
-computation bit for bit, and exhaustively-probed IVF reproduces brute force,
-tie order included. Non-finite stores and queries, and magnitudes the float32
-products could overflow, skip the screen.
+which gives each row the same value whichever rows it is computed with.
+Assignment wants one cell per point, so a point with one surviving cell
+takes it without a re-rank. So the ids, their order and the tie order equal
+those of the unscreened computation bit for bit, and exhaustively-probed IVF
+reproduces brute force, tie order included. Non-finite stores and queries,
+and magnitudes the float32 products could overflow, skip the screen.
 
 LSH writes its sign codes straight into a (words, n) array of 64-bit words
 and counts the Hamming distance of a query to every code with one XOR and
@@ -51,7 +52,7 @@ from .rng import Rng
 from .tensor import FLOAT
 
 INDEX_KINDS = ("flat", "ivf", "lsh", "hnsw")
-_KMEANS_ITERS = 10  # Lloyd iterations of an IVF build
+_KMEANS_ITERS = 10  # Lloyd iterations of an IVF build at most; fewer at a bitwise fixed point
 
 
 @dataclass(eq=False)
@@ -237,26 +238,37 @@ class IvfIndex:
         self.lists = lists
 
 
-def _kmeans(store: VectorStore, nlist: int, seed: int) -> np.ndarray:
-    """Seeded Lloyd iterations; empty cells re-seed to the farthest point."""
+def _kmeans(store: VectorStore, nlist: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded Lloyd iterations; empty cells re-seed to the farthest point.
+
+    Returns the centroids and every point's nearest cell under them. Over a
+    fixed store, each iteration is a function of its input centroids alone,
+    so one that leaves their bytes unchanged would repeat itself until the
+    cap: the loop stops there and returns that iteration's assignment, taken
+    before the re-seed moves any point. Bytes, not values, are compared, so
+    that a NaN centroid matches itself and -0.0 does not match 0.0."""
     rng = Rng(seed)
     rows = store.vectors
     cols = rows.T.astype(np.float64, order="C")  # so bincount need not copy each column
     centroids = rows[np.sort(rng.permutation(len(rows))[:nlist])].astype(np.float64)
     for _ in range(_KMEANS_ITERS):
         assign = _assign(store, centroids)
+        before = centroids.tobytes()
         counts = np.bincount(assign, minlength=nlist)
         # bincount adds each column's weights in id order, as np.add.at would
         sums = np.stack([np.bincount(assign, weights=col, minlength=nlist) for col in cols],
                         axis=1)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        owner = assign.copy()  # the re-seed moves points; `assign` stays as _assign gave it
         for cell in np.flatnonzero(~nonempty):
             # steal the point farthest from its own centroid
-            far = int(np.argmax(_sq_dists(rows, centroids[assign])))
+            far = int(np.argmax(_sq_dists(rows, centroids[owner])))
             centroids[cell] = rows[far]
-            assign[far] = cell
-    return centroids
+            owner[far] = cell
+        if centroids.tobytes() == before:
+            return centroids, assign
+    return centroids, _assign(store, centroids)
 
 
 def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
@@ -264,7 +276,9 @@ def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
 
     The screen of `_exact_top_k` with k = 1, one float32 GEMM per block of
     points against the centroids rounded to float32, and one slack for the
-    whole call; only the surviving (point, cell) pairs get exact distances."""
+    whole call. The screen keeps every cell that can be a point's nearest,
+    ties included, so a point with one surviving cell is assigned to it;
+    only the points with several get exact distances, to their survivors."""
     n, nlist = len(store), len(centroids)
     c_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
     slack = _screen_slack(float(np.sqrt(c_sq_norms.max())), store.max_norm, store.dim)
@@ -276,20 +290,25 @@ def _assign(store: VectorStore, centroids: np.ndarray) -> np.ndarray:
         if slack is not None:
             approx = c_sq_norms - 2.0 * (store.vectors[start:start + step] @ c32.T)
             keep = approx <= approx.min(axis=1, keepdims=True) + 2.0 * slack
+            assign[start:start + step] = keep.argmax(axis=1)  # the first survivor
+            multi = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+            if multi.size == 0:
+                continue
+            keep = keep[multi]
         else:
-            keep = np.ones((min(step, n - start), nlist), dtype=bool)
+            multi = np.arange(min(step, n - start))
+            keep = np.ones((len(multi), nlist), dtype=bool)
         point, cell = np.nonzero(keep)
         d = np.full(keep.shape, np.inf)
-        d[point, cell] = _sq_dists(store.vectors[start + point], centroids[cell])
-        assign[start:start + step] = np.argmin(d, axis=1)
+        d[point, cell] = _sq_dists(store.vectors[start + multi[point]], centroids[cell])
+        assign[start + multi] = np.argmin(d, axis=1)
     return assign
 
 
 def ivf_build(store: VectorStore, params: IvfParams) -> IvfIndex:
     if params.nlist > len(store):
         raise ValueError(f"nlist {params.nlist} exceeds store size {len(store)}")
-    centroids = _kmeans(store, params.nlist, params.seed)
-    assign = _assign(store, centroids)
+    centroids, assign = _kmeans(store, params.nlist, params.seed)
     lists = [np.flatnonzero(assign == c) for c in range(params.nlist)]
     return IvfIndex(store, params, centroids.astype(FLOAT), lists)
 

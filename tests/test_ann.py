@@ -256,6 +256,58 @@ def test_screen_keeps_only_a_handful(monkeypatch):
     assert len(ranked) == 50 and max(ranked) <= 15
 
 
+def test_assign_screen_decides_almost_every_point(monkeypatch):
+    """On a normalized clustered store with nlist ~ sqrt(n), a point keeps
+    more than one cell after the screen only near a cell boundary, so the
+    exact re-rank sees at most 1% of the points: a fall-through to ranking
+    every point exactly would pass every correctness test."""
+    store, _ = clustered_store(Rng(26), 3000, 32, 30)
+    store = VectorStore(ann.normalize_rows(store.vectors))
+    centroids, _ = ann._kmeans(store, 55, 4)
+    ranked = []
+    sq_dists = ann._sq_dists
+
+    def counting(v, w):
+        ranked.append(len(v))
+        return sq_dists(v, w)
+
+    monkeypatch.setattr(ann, "_sq_dists", counting)
+    assign = ann._assign(store, centroids)
+    assert sum(ranked) <= len(store) // 100
+    assert np.array_equal(assign, brute_force_assign(store.vectors, centroids))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+@settings(max_examples=20, deadline=None)
+def test_multi_block_assign_with_ties_equals_brute_force(seed, offset):
+    """Dim 512 and 64 centroids give blocks of 61 points. Copies of one point
+    sit in every block, and the centroids are mirrored through it, so each
+    copy ties between a centroid and its mirror: the re-ranked points fall
+    at different offsets of several blocks."""
+    rng = Rng(seed)
+    n, dim = 200, 512
+    vecs = (np.floor(7.0 * rng.uniforms_open(n * dim).reshape(n, dim)) - 3.0).astype(np.float32)
+    vecs[offset::7] = vecs[offset]
+    v64 = vecs.astype(np.float64)
+    picks = rng.permutation(n)[:32]
+    centroids = np.concatenate([v64[picks], 2.0 * v64[offset] - v64[picks]])
+    assert 2_000_000 // (len(centroids) * dim) == 61
+    ranked = []
+    sq_dists = ann._sq_dists
+
+    def counting(v, w):
+        ranked.append(len(v))
+        return sq_dists(v, w)
+
+    with mock.patch.object(ann, "_sq_dists", counting):
+        got = ann._assign(VectorStore(vecs), centroids)
+    assert len(ranked) == 4  # every block re-ranks its copies
+    # row-wise, so chunks of 50 give the same argmin with a bounded (rows, cells, dim) array
+    want = np.concatenate([brute_force_assign(vecs[i:i + 50], centroids)
+                           for i in range(0, n, 50)])
+    assert np.array_equal(got, want)
+
+
 def test_search_validation():
     """All four searches reject a query of the wrong dim or shape, k = 0 and
     k > len(store)."""
@@ -329,6 +381,72 @@ def test_ivf_lists_partition_all_ids():
     index = ivf_build(store, IvfParams(nlist=10, nprobe=2, seed=3))
     all_ids = np.concatenate(index.lists)
     assert sorted(all_ids.tolist()) == list(range(120))
+
+
+def reference_ivf(vecs, nlist, seed):
+    """The full Lloyd schedule with no stop: ten iterations of brute-force
+    assignment, the bincount update and the farthest-point re-seed, then one
+    more assignment for the lists."""
+    v64 = vecs.astype(np.float64)
+    centroids = v64[np.sort(Rng(seed).permutation(len(vecs))[:nlist])]
+    for _ in range(10):
+        assign = brute_force_assign(vecs, centroids)
+        counts = np.bincount(assign, minlength=nlist)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=nlist) for col in v64.T],
+                        axis=1)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for cell in np.flatnonzero(~nonempty):
+            far = int(np.argmax(((v64 - centroids[assign]) ** 2).sum(axis=1)))
+            centroids[cell] = v64[far]
+            assign[far] = cell
+    assign = brute_force_assign(vecs, centroids)
+    return centroids, [np.flatnonzero(assign == c) for c in range(nlist)]
+
+
+def assert_ivf_equals_reference(vecs, nlist, seed):
+    store = VectorStore(vecs)
+    want_centroids, want_lists = reference_ivf(vecs, nlist, seed)
+    centroids, _ = ann._kmeans(store, nlist, seed)
+    assert centroids.tobytes() == want_centroids.tobytes()
+    index = ivf_build(store, IvfParams(nlist=nlist, nprobe=1, seed=seed))
+    assert index.centroids.tobytes() == want_centroids.astype(np.float32).tobytes()
+    assert [ids.tolist() for ids in index.lists] == [ids.tolist() for ids in want_lists]
+
+
+@given(adversarial_store(), st.integers(1, 24), st.integers(0, 100), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_kmeans_stop_equals_full_schedule(vecs, nlist, seed, nan_row):
+    """Stopping at a bitwise fixed point gives the centroids and lists of
+    all ten iterations, with duplicate rows, cells that empty and re-seed
+    (nlist up to n) and NaN."""
+    if nan_row:
+        vecs[seed % len(vecs), 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert_ivf_equals_reference(vecs, min(nlist, len(vecs)), seed)
+
+
+@pytest.mark.parametrize("clustered, calls", [(True, range(2, 11)), (False, [11])])
+def test_kmeans_stops_at_fixed_point_within_cap(monkeypatch, clustered, calls):
+    """A clustered store reaches its fixed point before the cap, so the build
+    runs `_assign` fewer than 11 times; a Gaussian store has not converged
+    by the tenth iteration, so it runs all ten and one final assignment."""
+    if clustered:
+        store, _ = clustered_store(Rng(8), 1000, 16, 20)
+    else:
+        store = gaussian_store(Rng(9), 500, 8)
+    made = []
+    assign = ann._assign
+
+    def counting(s, c):
+        made.append(1)
+        return assign(s, c)
+
+    monkeypatch.setattr(ann, "_assign", counting)
+    ivf_build(store, IvfParams(nlist=20, nprobe=1, seed=1))
+    assert len(made) in calls
+    monkeypatch.undo()
+    assert_ivf_equals_reference(store.vectors, 20, 1)
 
 
 # -- LSH -----------------------------------------------------------------------
