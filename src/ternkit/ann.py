@@ -340,11 +340,11 @@ class LshParams:
 
 
 class LshIndex:
-    """Sign codes of the store under `hyperplanes`. The codes are held once,
-    as a (words, n) uint64 array: each row's bits LSB-first, zero-padded to a
-    whole number of words, so the pad bits XOR to 0. `codes` gives the packed
-    bytes back. `planes64`, the float64 transposed planes the build coded
-    the store with, codes the queries too; it is the only copy of them."""
+    """Sign codes of the store under random hyperplanes. The codes are held
+    once, as a (words, n) uint64 array: each row's bits LSB-first,
+    zero-padded to a whole number of words, so the pad bits XOR to 0.
+    `planes64`, the float64 transposed planes the build coded the store with,
+    codes the queries too; it is the only copy of them."""
 
     def __init__(self, store: VectorStore, params: LshParams, planes64: np.ndarray,
                  words: np.ndarray):
@@ -352,16 +352,6 @@ class LshIndex:
         self.params = params
         self._planes64 = planes64
         self._words = words
-
-    @property
-    def hyperplanes(self) -> np.ndarray:
-        """(nbits, dim) float32 planes; exact, as they were drawn as float32."""
-        return self._planes64.T.astype(FLOAT)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """(n, ceil(nbits / 8)) uint8: each row's sign bits, LSB-first."""
-        return self._words.T.copy().view(np.uint8)[:, :(self.params.nbits + 7) // 8].copy()
 
 
 _LSH_ROWS = 256  # rows projected per block by `_lsh_words`

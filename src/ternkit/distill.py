@@ -8,11 +8,10 @@ lr_factor ** floor(epoch / lr_step_epochs). All parameters train (norms and
 biases included); only linear weights go through the straight-through path.
 
 The teacher is frozen, so ``distill`` computes its targets once per call, in
-batch-size chunks, not once per batch of every epoch. Training moves a
-model's parameters into one contiguous buffer, so afterwards each parameter
-is a view of it, and each Adam step runs over the whole buffer. Neither
-changes a trajectory: losses, batch logs and trained weights are the same,
-bit for bit.
+batch-size chunks, not once per batch of every epoch. Every parameter of a
+model is a view of its one buffer (``EncoderModel.flat_parameters``), so each
+Adam step runs over the whole buffer. Neither changes a trajectory: losses,
+batch logs and trained weights are the same, bit for bit.
 
 Also provides the synthetic cluster-embedding task used as the desk-scale
 benchmark: K Gaussian prototypes in input space, unit-norm code vectors in
@@ -170,8 +169,8 @@ def _train(model: EncoderModel, data: np.ndarray, targets: np.ndarray,
            config: TrainConfig) -> tuple[list[LossRecord], list[float]]:
     """Fit model(data rows) to the same rows of targets by MSE and scheduled Adam.
 
-    The model's parameters move into one buffer (``flat_parameters``), so
-    each Adam step is one set of whole-buffer operations; the per-element
+    Adam updates the model's one parameter buffer (``flat_parameters``) in
+    place, one set of whole-buffer operations per step; the per-element
     arithmetic is that of separate arrays. Returns the per-batch loss log
     and the mean loss of each epoch.
     """

@@ -16,14 +16,15 @@ at every step and frozen only at export time.
 The architecture is an input projection, ``num_blocks`` residual blocks
 (layer_norm -> linear -> gelu -> linear -> residual add), and an output
 projection. Both encoders emit raw outputs: training runs its loss on them,
-and retrieval L2-normalizes them itself (``ann.normalize_rows``). Both
-encoders' ``forward`` is ``infer``, one walk that caches nothing; training
-runs ``EncoderModel.train_forward``, which caches what ``backward`` needs.
+and retrieval L2-normalizes them itself (``ann.normalize_rows``). ``infer``
+is the one walk over the architecture: each ``forward`` runs it caching
+nothing, and ``EncoderModel.train_forward`` with a tape that ``backward``
+walks in reverse. An ``EncoderModel``'s parameters are views of one buffer
+from construction, so updating the buffer in place updates the model.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from dataclasses import asdict, dataclass
@@ -103,16 +104,31 @@ def part_shapes(config: EncoderConfig) -> list[tuple[str, dict[str, tuple[int, .
     return parts
 
 
-def infer(config: EncoderConfig, x, apply, layers, norms) -> np.ndarray:
-    """The inference pass, caching nothing: ``apply(layer, rows)`` runs each of
-    ``layers`` in part_shapes order, ``norms`` holds each block's (gain, shift)."""
+def _parameter_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(parameter name, shape) for every parameter, in part_shapes order."""
+    return [(f"{name}.{attr}", shape)
+            for name, shapes in part_shapes(config) for attr, shape in shapes.items()]
+
+
+def infer(config: EncoderConfig, x, apply, layers, norms, tape=None) -> np.ndarray:
+    """The forward walk: ``apply(layer, rows)`` runs each of ``layers`` in
+    part_shapes order, ``norms`` holds each block's (gain, shift). Given a
+    ``tape`` list, each block appends what ``EncoderModel.backward`` reads:
+    its layer norm's (normed, inv_std) and its GELU derivative."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"input must be (n, {config.input_dim}), got {x.shape}")
     layer = iter(layers)
     h = apply(next(layer), x)
     for gain, shift in norms:
-        z, _ = tensor.gelu(apply(next(layer), tensor.layer_norm(h, gain, shift)))
+        if tape is None:
+            z, _ = tensor.gelu(apply(next(layer), tensor.layer_norm(h, gain, shift)))
+        else:
+            u, ln_cache = tensor.layer_norm_with_cache(h, gain, shift)
+            a = apply(next(layer), u)
+            z, cdf = tensor.gelu(a)
+            # the float32 derivative is taped in place of a, so erf runs once per step
+            tape.extend((*ln_cache, tensor.gelu_grad(a, cdf)))
         h = h + apply(next(layer), z)
     return apply(next(layer), h)
 
@@ -140,9 +156,6 @@ class LinearLayer:
             return self.weight, None
         return ternary_dense(self.weight, self.beta)  # gamma rounded to float32
 
-    def ternary_export(self) -> PackedTernaryMatrix:
-        return ternarize(self.weight, compute_threshold(self.weight, self.beta), self.bias)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The layer's output, caching nothing (inference); forward caches."""
         return tensor.matmul(x, self.effective_weight()[0].T) + self.bias
@@ -166,150 +179,106 @@ class LinearLayer:
         return tensor.matmul(dy, w_eff)
 
 
-class ResidualBlock:
-    """layer_norm -> fc1 -> gelu -> fc2 -> residual add."""
-
-    def __init__(self, ln_gain, ln_shift, fc1: LinearLayer, fc2: LinearLayer):
-        self.ln_gain = ln_gain
-        self.ln_shift = ln_shift
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.grad_ln_gain = None
-        self.grad_ln_shift = None
-        self._cache = None
-
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        u, ln_cache = tensor.layer_norm_with_cache(h, self.ln_gain, self.ln_shift)
-        a1 = self.fc1.forward(u)
-        z, cdf = tensor.gelu(a1)
-        # the float32 derivative takes a1's place in the cache, so erf runs
-        # once per step and the cache grows by nothing
-        self._cache = (*ln_cache, tensor.gelu_grad(a1, cdf))
-        return h + self.fc2.forward(z)
-
-    def backward(self, dh_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normed, inv_std, dgelu = self._cache
-        dz = self.fc2.backward(dh_out)
-        du = self.fc1.backward(dz * dgelu)
-
-        du64 = du.astype(np.float64)
-        self.grad_ln_gain = (du64 * normed).sum(axis=0).astype(self.ln_gain.dtype)
-        self.grad_ln_shift = du64.sum(axis=0).astype(self.ln_shift.dtype)
-        dnormed = du64 * self.ln_gain.astype(np.float64)
-        mean_dn = dnormed.mean(axis=1, keepdims=True)
-        mean_dn_n = (dnormed * normed).mean(axis=1, keepdims=True)
-        dh_ln = (inv_std * (dnormed - mean_dn - normed * mean_dn_n)).astype(dh_out.dtype)
-        return dh_out + dh_ln
-
-
 class EncoderModel:
-    def __init__(self, config: EncoderConfig, input_proj: LinearLayer,
-                 blocks: list[ResidualBlock], output_proj: LinearLayer):
-        if len(blocks) != config.num_blocks:
-            raise ValueError(f"expected {config.num_blocks} blocks, got {len(blocks)}")
+    """The trainable encoder: each parameter is a view of the 1-D buffer ``flat``
+    in part_shapes order, each linear part a ``LinearLayer`` in ``mode``."""
+
+    def __init__(self, config: EncoderConfig, flat: np.ndarray,
+                 mode: str = MODE_FULL, beta: float = DEFAULT_BETA):
+        shapes = _parameter_shapes(config)
+        ends = np.cumsum([math.prod(shape) for _, shape in shapes])
+        if flat.shape != (ends[-1],):
+            raise ValueError(f"flat must have shape ({ends[-1]},), got {flat.shape}")
         self.config = config
-        self.input_proj = input_proj
-        self.blocks = blocks
-        self.output_proj = output_proj
-        # the same order as part_shapes
-        parts = [input_proj, *(p for blk in blocks for p in (blk, blk.fc1, blk.fc2)),
-                 output_proj]
-        spec = part_shapes(config)
-        self._parts = [(name, part) for (name, _), part in zip(spec, parts)]
-        # (parameter name, owner, attribute, gradient attribute), resolved once
-        # here because gradients() runs on every training batch
-        self._slots = [(f"{name}.{attr}", part, attr, "grad_" + attr)
-                       for (name, shapes), part in zip(spec, parts) for attr in shapes]
+        self._flat = flat
+        self._params = {name: view.reshape(shape)
+                        for (name, shape), view in zip(shapes, np.split(flat, ends[:-1]))}
+        p = self._params
+        self._layers = {name: LinearLayer(p[f"{name}.weight"], p[f"{name}.bias"], mode, beta)
+                        for name, part in part_shapes(config) if "weight" in part}
+        self._norms = [(p[f"blocks.{i}.ln_gain"], p[f"blocks.{i}.ln_shift"])
+                       for i in range(config.num_blocks)]
+        self.input_proj = self._layers["input_proj"]
+        self._tape = None
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray],
                     mode: str = MODE_FULL, beta: float = DEFAULT_BETA) -> "EncoderModel":
-        """Build a model from a name -> array mapping keyed like parameters()."""
-        parts = iter([[arrays[f"{name}.{attr}"] for attr in shapes]
-                      for name, shapes in part_shapes(config)])
-
-        def linear():
-            return LinearLayer(*next(parts), mode=mode, beta=beta)
-
-        input_proj = linear()
-        blocks = [ResidualBlock(*next(parts), linear(), linear())
-                  for _ in range(config.num_blocks)]
-        return cls(config, input_proj, blocks, linear())
+        """Build a model over a buffer holding copies of a name -> array mapping
+        keyed like parameters(). Raises ValueError for a missing name, a shape
+        other than its part_shapes shape, or arrays of more than one dtype."""
+        shapes = _parameter_shapes(config)
+        for name, shape in shapes:
+            got = np.shape(arrays[name]) if name in arrays else "missing"
+            if got != shape:
+                raise ValueError(f"parameter {name}: expected shape {shape}, got {got}")
+        if len({np.asarray(arrays[name]).dtype for name, _ in shapes}) != 1:
+            raise ValueError("parameters of mixed dtypes cannot share one buffer")
+        return cls(config, np.concatenate([arrays[name] for name, _ in shapes], axis=None),
+                   mode, beta)
 
     @classmethod
     def init(cls, config: EncoderConfig) -> "EncoderModel":
         """Seeded Gaussian init, std 1/sqrt(fan_in); biases zero, gains one."""
         rng = Rng(config.seed)
-        arrays = {}
-        for name, shapes in part_shapes(config):
-            for attr, shape in shapes.items():
-                if attr == "weight":
-                    arr = tensor.gaussian_fill(rng, *shape, sigma=shape[1] ** -0.5)
-                elif attr == "ln_gain":
-                    arr = np.ones(shape, dtype=tensor.FLOAT)
-                else:
-                    arr = np.zeros(shape, dtype=tensor.FLOAT)
-                arrays[f"{name}.{attr}"] = arr
-        return cls.from_arrays(config, arrays)
-
-    # -- structure walkers -------------------------------------------------
+        sizes = [math.prod(shape) for _, shape in _parameter_shapes(config)]
+        model = cls(config, np.zeros(sum(sizes), dtype=tensor.FLOAT))
+        for name, arr in model.parameters().items():
+            if name.endswith(".weight"):
+                arr[:] = tensor.gaussian_fill(rng, *arr.shape, sigma=arr.shape[1] ** -0.5)
+            elif name.endswith(".ln_gain"):
+                arr[:] = 1.0
+        return model
 
     def linear_layers(self) -> list[tuple[str, LinearLayer]]:
-        return [(name, part) for name, part in self._parts if isinstance(part, LinearLayer)]
+        return list(self._layers.items())
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Ordered name -> live array mapping (optimizers update in place)."""
-        return {key: getattr(part, attr) for key, part, attr, _ in self._slots}
+        """Ordered name -> view of the buffer (optimizers update in place)."""
+        return dict(self._params)
 
     def flat_parameters(self) -> np.ndarray:
-        """Move every parameter into one contiguous buffer; returns the buffer.
-
-        Each parameter attribute is rebound to a view of the buffer, in
-        parameters() order, so an in-place update of the buffer is an update
-        of the model. Values are copied, never shared with the old arrays.
-        """
-        arrays = list(self.parameters().values())
-        if len({a.dtype for a in arrays}) != 1:
-            raise ValueError("parameters of mixed dtypes cannot share one buffer")
-        flat = np.concatenate(arrays, axis=None)
-        offset = 0
-        for (_, part, attr, _), arr in zip(self._slots, arrays):
-            setattr(part, attr, flat[offset:offset + arr.size].reshape(arr.shape))
-            offset += arr.size
-        return flat
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {key: getattr(part, grad) for key, part, _, grad in self._slots}
-        if any(g is None for g in grads.values()):
-            raise RuntimeError("gradients requested before a backward pass")
-        return grads
-
-    # -- compute -----------------------------------------------------------
+        """The one contiguous buffer every parameter is a view of."""
+        return self._flat
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference: ``infer`` over each linear layer's cache-free apply."""
-        return infer(self.config, x, LinearLayer.apply,
-                     [layer for _, layer in self.linear_layers()],
-                     [(blk.ln_gain, blk.ln_shift) for blk in self.blocks])
+        return infer(self.config, x, LinearLayer.apply, self._layers.values(), self._norms)
 
     def train_forward(self, x: np.ndarray) -> np.ndarray:
-        """Training: every layer and block caches what backward needs."""
-        h = self.input_proj.forward(x)
-        for blk in self.blocks:
-            h = blk.forward(h)
-        return self.output_proj.forward(h)
+        """Training: ``infer`` over each layer's caching forward, with a tape."""
+        self._tape = []  # the last batch's tape goes before this one fills
+        return infer(self.config, x, LinearLayer.forward, self._layers.values(), self._norms,
+                     self._tape)
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        dh = self.output_proj.backward(d_out)
-        for blk in reversed(self.blocks):
-            dh = blk.backward(dh)
-        self.input_proj.backward(dh)
-        return self.gradients()
+        """Each parameter's gradient, keyed like parameters(), from train_forward's
+        layers and tape walked in reverse; the output layer raises before any."""
+        layers = list(self._layers.values())
+        grads = dict.fromkeys(self._params)
+        dh = layers[-1].backward(d_out)
+        for i in reversed(range(self.config.num_blocks)):
+            normed, inv_std, dgelu = self._tape[3 * i:3 * i + 3]
+            gain, shift = self._norms[i]
+            du = layers[2 * i + 1].backward(layers[2 * i + 2].backward(dh) * dgelu)
+            du64 = du.astype(np.float64)
+            grads[f"blocks.{i}.ln_gain"] = (du64 * normed).sum(axis=0).astype(gain.dtype)
+            grads[f"blocks.{i}.ln_shift"] = du64.sum(axis=0).astype(shift.dtype)
+            dnormed = du64 * gain.astype(np.float64)
+            mean_dn = dnormed.mean(axis=1, keepdims=True)
+            mean_dn_n = (dnormed * normed).mean(axis=1, keepdims=True)
+            dh = dh + (inv_std * (dnormed - mean_dn - normed * mean_dn_n)).astype(dh.dtype)
+        layers[0].backward(dh)
+        for name, layer in self._layers.items():
+            grads[f"{name}.weight"], grads[f"{name}.bias"] = layer.grad_weight, layer.grad_bias
+        return grads
 
     def clone(self) -> "EncoderModel":
-        return copy.deepcopy(self)
+        """A model over a copy of the buffer, each layer keeping its mode and beta."""
+        twin = EncoderModel(self.config, self._flat.copy())
+        for mine, theirs in zip(self._layers.values(), twin._layers.values()):
+            theirs.mode, theirs.beta = mine.mode, mine.beta
+        return twin
 
 
 def replace_linears(model: EncoderModel, mode: str, beta: float = DEFAULT_BETA) -> EncoderModel:
@@ -327,7 +296,8 @@ def export_packed(model: EncoderModel) -> list[PackedTernaryMatrix]:
     for name, layer in model.linear_layers():
         if layer.mode != MODE_TERNARY:
             raise ValueError(f"layer {name} is not in ternary mode")
-    return [layer.ternary_export() for _, layer in model.linear_layers()]
+    return [ternarize(layer.weight, compute_threshold(layer.weight, layer.beta), layer.bias)
+            for _, layer in model.linear_layers()]
 
 
 class PackedEncoder:
@@ -345,7 +315,7 @@ class PackedEncoder:
 
     @classmethod
     def from_model(cls, model: EncoderModel) -> "PackedEncoder":
-        ln = [(blk.ln_gain.copy(), blk.ln_shift.copy()) for blk in model.blocks]
+        ln = [(gain.copy(), shift.copy()) for gain, shift in model._norms]
         return cls(model.config, export_packed(model), ln)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

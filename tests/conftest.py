@@ -40,6 +40,18 @@ def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / (1.0 + np.abs(want).max()))
 
 
+def lsh_codes(index) -> np.ndarray:
+    """(n, ceil(nbits / 8)) uint8: each row's sign bits, LSB-first, read off
+    the (words, n) uint64 codes the LSH index holds."""
+    return index._words.T.copy().view(np.uint8)[:, :(index.params.nbits + 7) // 8].copy()
+
+
+def lsh_hyperplanes(index) -> np.ndarray:
+    """(nbits, dim) float32 planes of an LSH index; exact, as they were drawn
+    as float32."""
+    return index._planes64.T.astype(np.float32)
+
+
 def hnsw_level_bounds_ok(index) -> bool:
     """Every link stays within both endpoints' level range, no self loops;
     lists above layer 0 hold at most M ids and never the sentinel n."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hnsw_layer0_connected, hnsw_level_bounds_ok
+from conftest import hnsw_layer0_connected, hnsw_level_bounds_ok, lsh_codes, lsh_hyperplanes
 from ternkit import ann
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore,
                          default_params, evaluate_retrieval, flat_search,
@@ -463,7 +463,7 @@ def test_lsh_single_bit_two_distance_levels():
     store = gaussian_store(rng, 30, 8)
     index = lsh_build(store, LshParams(nbits=1, seed=5))
     q = rng.normals(8).astype(np.float32)
-    codes = index.codes
+    codes = lsh_codes(index)
     qcode = codes[lsh_search(index, q, 1)[0]]
     hamming = np.bitwise_count(codes ^ qcode).sum(axis=1)
     assert set(np.unique(hamming)) <= {0, 1}
@@ -490,8 +490,8 @@ def test_lsh_deterministic_per_seed():
     store = gaussian_store(rng, 40, 8)
     a = lsh_build(store, LshParams(nbits=32, seed=7))
     b = lsh_build(store, LshParams(nbits=32, seed=7))
-    assert np.array_equal(a.codes, b.codes)
-    assert np.array_equal(a.hyperplanes, b.hyperplanes)
+    assert np.array_equal(lsh_codes(a), lsh_codes(b))
+    assert np.array_equal(lsh_hyperplanes(a), lsh_hyperplanes(b))
 
 
 @given(adversarial_case(), st.one_of(st.integers(1, 130), st.sampled_from([8, 63, 64, 65, 128])),
@@ -503,9 +503,9 @@ def test_lsh_word_layout_equals_bytewise_hamming(case, nbits, seed):
     byte or word as well as ones that do."""
     vecs, q, k = case
     index = lsh_build(VectorStore(vecs), LshParams(nbits=nbits, seed=seed))
-    codes = index.codes
+    codes = lsh_codes(index)
     assert codes.shape == (len(vecs), (nbits + 7) // 8) and codes.dtype == np.uint8
-    qbits = q[None, :].astype(np.float64) @ index.hyperplanes.T.astype(np.float64) >= 0.0
+    qbits = q[None, :].astype(np.float64) @ lsh_hyperplanes(index).T.astype(np.float64) >= 0.0
     qcode = np.packbits(qbits, axis=1, bitorder="little")
     hamming = np.bitwise_count(codes ^ qcode).sum(axis=1)
     assert np.array_equal(lsh_search(index, q, k), ann._rank(np.arange(len(vecs)), hamming, k))
@@ -518,8 +518,8 @@ def test_lsh_codes_in_row_blocks_equal_one_projection():
     n = 2 * ann._LSH_ROWS + 3
     vecs = np.floor(2.0 * rng.normals(n * 12).reshape(n, 12)).astype(np.float32)  # exact zeros
     index = lsh_build(VectorStore(vecs), LshParams(nbits=70, seed=2))
-    bits = vecs.astype(np.float64) @ index.hyperplanes.T.astype(np.float64) >= 0.0
-    assert np.array_equal(index.codes, np.packbits(bits, axis=1, bitorder="little"))
+    bits = vecs.astype(np.float64) @ lsh_hyperplanes(index).T.astype(np.float64) >= 0.0
+    assert np.array_equal(lsh_codes(index), np.packbits(bits, axis=1, bitorder="little"))
 
 
 # -- HNSW ----------------------------------------------------------------------

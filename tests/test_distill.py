@@ -239,7 +239,7 @@ def test_task_spec_rejects_degenerate_clusters():
 def test_distill_rejects_non_finite_student_weight(bad):
     teacher, task = small_setup()
     student = replace_linears(teacher.clone(), MODE_TERNARY, 2.0)
-    student.blocks[1].fc2.weight[0, 5] = bad
+    student.parameters()["blocks.1.fc2.weight"][0, 5] = bad
     with pytest.raises(ValueError):
         distill(teacher, student, task.inputs, TrainConfig(epochs=1))
 

@@ -92,9 +92,10 @@ def test_backward_before_forward_errors():
 def test_inference_forward_caches_nothing():
     model = replace_linears(EncoderModel.init(small_config()), MODE_TERNARY, 2.0)
     out = model.forward(random_matrix(Rng(5), 4, 8))
-    parts = [*(layer for _, layer in model.linear_layers()), *model.blocks]
-    assert len(parts) == 3 * model.config.num_blocks + 2
-    assert all(p._cache is None for p in parts)
+    layers = [layer for _, layer in model.linear_layers()]
+    assert len(layers) == 2 * model.config.num_blocks + 2
+    assert all(layer._cache is None for layer in layers)
+    assert model._tape is None
     with pytest.raises(RuntimeError):
         model.backward(np.zeros_like(out))
 
@@ -140,6 +141,42 @@ def test_architecture_parity_and_clone():
         assert pa[k].shape == pb[k].shape
         assert np.array_equal(pa[k], pb[k])  # weight inheritance
 
+    # a model whose layers differ in mode and beta
+    for i, (_, layer) in enumerate(student.linear_layers()):
+        layer.mode = MODE_FULL if i % 3 == 0 else MODE_TERNARY
+        layer.beta = 0.75 + 0.25 * i
+    twin = student.clone()
+    settings = [(layer.mode, layer.beta) for _, layer in student.linear_layers()]
+    assert [(layer.mode, layer.beta) for _, layer in twin.linear_layers()] == settings
+    x = random_matrix(Rng(9), 5, 8)
+    assert twin.forward(x).tobytes() == student.forward(x).tobytes()
+    assert twin.train_forward(x).tobytes() == student.train_forward(x).tobytes()
+    flat = twin.flat_parameters()
+    assert not np.shares_memory(flat, student.flat_parameters())
+    assert sum(p.size for p in twin.parameters().values()) == flat.size
+    assert all(p.base is flat for p in twin.parameters().values())
+    assert all(layer.weight.base is flat and layer.bias.base is flat
+               for _, layer in twin.linear_layers())
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("blocks.0.fc1.bias", None, "blocks.0.fc1.bias: expected shape"),
+    ("blocks.0.ln_gain", np.ones(5, np.float32), "blocks.0.ln_gain: expected shape"),
+    ("input_proj.weight", np.ones((4, 6), np.float32), "input_proj.weight: expected shape"),
+    ("blocks.1.ln_gain", np.ones(6, np.float64), "mixed dtypes"),
+])
+def test_from_arrays_rejects_bad_input_at_once(name, value, message):
+    """A missing array, a shape other than part_shapes', or a second dtype
+    raises ValueError when the model is built, not at its first forward."""
+    config = EncoderConfig(input_dim=4, hidden_dim=6, output_dim=4, num_blocks=2, seed=1)
+    arrays = EncoderModel.init(config).parameters()
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    with pytest.raises(ValueError, match=message):
+        EncoderModel.from_arrays(config, arrays)
+
 
 def test_replace_linears_round_trip_restores_outputs():
     model = EncoderModel.init(small_config())
@@ -163,7 +200,7 @@ def test_ptq_consistency_is_exact():
     manual = teacher.clone()
     for _, layer in manual.linear_layers():
         gamma = compute_threshold(layer.weight, 2.0)
-        layer.weight = plane_dense(ternarize(layer.weight, gamma))
+        layer.weight[:] = plane_dense(ternarize(layer.weight, gamma))
     x = random_matrix(Rng(4), 7, 8)
     assert np.array_equal(student.forward(x), manual.forward(x))
 

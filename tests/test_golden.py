@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import hnsw_layer0_connected
+from conftest import hnsw_layer0_connected, lsh_codes
 from ternkit import packed, storage
 from ternkit.ann import (HnswParams, IvfParams, LshParams, VectorStore, flat_search,
                          hnsw_build, hnsw_search, ivf_build, ivf_search, lsh_build,
@@ -185,7 +185,7 @@ def test_golden_retrieval():
         "ivf.lists": _digest(*(ids.astype("<i8") for ids in ivf.lists)),
         "hnsw.levels": _digest(np.array(hnsw.levels, "<i8")),
         "hnsw.neighbors": hashlib.sha256(json.dumps(hnsw.neighbors).encode()).hexdigest(),
-        "lsh.codes": _digest(lsh.codes),
+        "lsh.codes": _digest(lsh_codes(lsh)),
         **{f"{kind}.top10": _digest(*(np.asarray(search(q), "<i8") for q in queries))
            for kind, search in top.items()},
     }
