@@ -71,7 +71,7 @@ def _positive_float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [_positive_int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
     if not values:

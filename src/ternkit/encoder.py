@@ -140,8 +140,8 @@ class LinearLayer:
                  mode: str = MODE_FULL, beta: float = DEFAULT_BETA):
         if mode not in (MODE_FULL, MODE_TERNARY):
             raise ValueError(f"unknown mode {mode!r}")
-        self.weight = np.ascontiguousarray(weight, dtype=weight.dtype)
-        self.bias = np.ascontiguousarray(bias, dtype=bias.dtype)
+        self._weight = np.ascontiguousarray(weight, dtype=weight.dtype)
+        self._bias = np.ascontiguousarray(bias, dtype=bias.dtype)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("weight must be (out, in) and bias (out,)")
         self.mode = mode
@@ -149,6 +149,16 @@ class LinearLayer:
         self.grad_weight: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
         self._cache = None
+
+    # read-only, so the layer cannot be detached from the array it was built
+    # over (a model's buffer); write in place with `layer.weight[:] = w`
+    @property
+    def weight(self) -> np.ndarray:
+        return self._weight
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._bias
 
     def effective_weight(self) -> tuple[np.ndarray, float | None]:
         """Weight the forward pass applies, plus gamma in ternary mode."""

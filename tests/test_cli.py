@@ -330,6 +330,17 @@ def test_eval_retrieval_unknown_index_usage_error(tmp_path, task_files):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "1,0"])
+def test_eval_retrieval_k_below_one_usage_error(capsys, tmp_path, k):
+    # rejected by the parser, before the (missing) model is read
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-retrieval", "--model", str(tmp_path / "missing.npz"), "--dataset",
+              str(tmp_path / "missing.npy"), "--labels", str(tmp_path / "missing.json"),
+              "--index", "flat", "--k", k])
+    assert exc.value.code == 3
+    assert "argument --k" in capsys.readouterr().err
+
+
 def test_eval_retrieval_k_beyond_corpus_exits_2(capsys, tmp_path, task_files):
     teacher, data, labels = task_files
     code, _, _ = run_cli(capsys, "eval-retrieval", "--model", str(teacher),

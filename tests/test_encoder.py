@@ -251,6 +251,26 @@ def test_model_digest_tracks_weight_changes():
     assert model_digest(model) != d1
 
 
+def test_layer_weight_and_bias_cannot_be_rebound():
+    """A rebind would detach the layer from the model's buffer, so forward
+    would apply values that parameters(), model_digest and Adam never see."""
+    model = EncoderModel.init(small_config())
+    layer = model.input_proj
+    x = random_matrix(Rng(4), 3, 8)
+    digest, before = model_digest(model), model.forward(x)
+    for name in ("weight", "bias"):
+        with pytest.raises(AttributeError):
+            setattr(layer, name, 2 * getattr(layer, name))
+    assert model_digest(model) == digest
+    assert np.array_equal(model.forward(x), before)
+    layer.weight[:] = 2 * layer.weight
+    layer.bias[:] = 1.0
+    assert np.shares_memory(layer.weight, model.flat_parameters())
+    assert np.array_equal(layer.weight, model.parameters()["input_proj.weight"])
+    assert np.array_equal(layer.bias, model.parameters()["input_proj.bias"])
+    assert model_digest(model) != digest
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_ternary_forward_rejects_non_finite_weight(bad):
     layer = LinearLayer(random_matrix(Rng(8), 5, 4), np.zeros(5, np.float32),

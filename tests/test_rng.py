@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternkit import rng as rng_module
-from ternkit.rng import Rng, philox4x64, splitmix64
+from ternkit.rng import Rng
 
 
 def test_same_seed_same_stream():
@@ -24,15 +26,26 @@ def test_chunked_reads_match_bulk():
     assert np.array_equal(bulk, pieces)
 
 
-def test_matches_reference_philox_implementation():
-    # numpy's Philox is the same 4x64-10 cipher; its counter pre-increments,
-    # so our block i+1 lines up with its block i.
-    for seed in (0, 42, 2**63 + 5):
-        state, k0 = splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
-        _, k1 = splitmix64(state)
-        mine = philox4x64((k0, k1), 1, 8).ravel()
-        ref = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)).random_raw(32)
-        assert np.array_equal(mine, ref)
+# Random123's kat_vectors for philox4x64 with 10 rounds: counter words,
+# key words, then the four output words
+PHILOX4X64_10_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554d9eca36314c, 0xdb20fe9d672d0fdc, 0xd7e772cee186176b, 0x7e68b68aec7ba23b)),
+    ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+     (0x87b092c3013fe90b, 0x438c3c67be8d0224, 0x9cc7d7c69cd777b6, 0xa09caebf594f0ba0)),
+    ((0x243f6a8885a308d3, 0x13198a2e03707344, 0xa4093822299f31d0, 0x082efa98ec4e6c89),
+     (0x452821e638d01377, 0xbe5466cf34e90c6c),
+     (0xa528f45403e61d95, 0x38c72dbd566e9788, 0xa5a1610e72fd18b5, 0x57bd43b5e52b7fe6)),
+]
+
+
+@pytest.mark.parametrize("ctr,key,expected", PHILOX4X64_10_KAT, ids=["zeros", "ones", "pi"])
+def test_philox_known_answer_vectors(ctr, key, expected):
+    # built the way Rng builds its generator: numpy steps the counter before
+    # each block, so it starts one below the first block's counter
+    counter = (sum(word << (64 * i) for i, word in enumerate(ctr)) - 1) % 2**256
+    philox = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=counter)
+    assert philox.random_raw(4).tolist() == list(expected)
 
 
 def test_uniform_range_and_moments():
@@ -120,3 +133,23 @@ def test_empty_draws_consume_nothing_and_negative_counts_raise():
     assert np.array_equal(r.raw_u64(2), Rng(3).raw_u64(2))
     with pytest.raises(ValueError):
         r.raw_u64(-1)
+
+
+WORD_COUNTS = st.one_of(st.sampled_from([0, 1, 2, 3, 32767, 32768, 32769]), st.integers(0, 70_000))
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.sampled_from(["raw_u64", "uniforms", "uniforms_open", "normals",
+                                            "permutation", "integers"]), WORD_COUNTS),
+                max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_each_method_consumes_exactly_its_documented_words(seed, draws):
+    r = Rng(seed)
+    total = 0
+    for method, n in draws:
+        if method == "integers":
+            r.integers(7, n)
+        else:
+            getattr(r, method)(n)
+        total += 2 * -(-n // 2) if method == "normals" else n
+    assert r.raw_u64(1)[0] == Rng(seed).raw_u64(total + 1)[total]
