@@ -28,13 +28,18 @@ LSH writes its sign codes straight into a (words, n) array of 64-bit words
 and counts the Hamming distance of a query to every code with one XOR and
 one popcount per word.
 
-HNSW inserts and queries walk each layer with one frontier-batched beam, in
-the manner of DiskANN's beam search (Subramanya et al., NeurIPS 2019) but
-within one query. Each round expands every beam member not yet expanded at
-once: one gather of their rows from the layer's padded int32 adjacency
-array, one `_sq_dists` call for the ids no round has seen, and a trim back
-to the ef nearest by (distance, id). The walk ends when every member has
-been expanded. A beam of one is the greedy descent of the upper layers.
+HNSW searches the upper layers, and every layer an insert asks one id of,
+by a plain greedy descent (Malkov & Yashunin, arXiv 1603.09320, Alg. 5 with
+ef = 1): each step reads one adjacency row and moves to its nearest link
+while that lowers the (distance, id) key. Every wider search walks its layer
+with one frontier-batched beam, in the manner of DiskANN's beam search
+(Subramanya et al., NeurIPS 2019) but within one query. Each round expands
+every beam member not yet expanded at once: one gather of their rows from
+the layer's padded int32 adjacency array, cast once to intp, one
+`_sq_dists` call for the ids no round has seen, and a trim back to the ef
+nearest by (distance, id). The walk ends when a round finds no unseen id or
+every member has been expanded. The descent returns the id a beam of one
+would, ties and NaN distances included.
 
 Embeddings are L2-normalized before indexing in the evaluation harness, so
 L2 ranking coincides with cosine ranking.
@@ -84,9 +89,11 @@ class VectorStore:
 
 
 def _sq_dists(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared L2 distances over the last axis, widened to float64 in the
-    subtraction. Row-wise, so subsets (and stacks of rows) reproduce exactly."""
-    diff = np.subtract(vectors, query, dtype=np.float64)
+    """Squared L2 distances over the last axis, in float64: each row is
+    widened exactly, then the query is subtracted in place. Row-wise, so
+    subsets (and stacks of rows) reproduce exactly."""
+    diff = vectors.astype(np.float64)
+    diff -= query
     diff *= diff
     return np.add.reduce(diff, axis=-1)
 
@@ -198,6 +205,11 @@ def _order(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
         if keep.size >= k:
             return keep[np.lexsort((ids[keep], dists[keep]))[:k]]
     return np.lexsort((ids, dists))[:k]
+
+
+def _key(dist: float, i: int) -> tuple:
+    """`_order`'s sort key of one id as a tuple: NaN last, then distance, then id."""
+    return (dist != dist, 0.0 if dist != dist else dist, i)
 
 
 def _rank(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
@@ -413,9 +425,11 @@ class HnswIndex:
 
     Each layer's adjacency is one int32 array of shape (n + 1, width): row u
     holds u's links first, then the sentinel n, and row n is all sentinel.
-    `_deg` counts each row's links. Inserts and searches share `_beam`,
-    which expands its whole frontier (the beam members not yet expanded)
-    per round: one gather of their rows, one distance call for the ids not
+    `_deg` counts each row's links. Inserts and searches share two walks.
+    `_greedy` finds one id: it follows the nearest link of one row per step
+    while that lowers the (distance, id) key. `_beam` finds ef >= 2 ids: it
+    expands its whole frontier (the beam members not yet expanded) per
+    round, with one gather of their rows, one distance call for the ids not
     seen before, then a trim to the ef nearest by (distance, id).
 
     After the last insert the build finalizes layer 0 on arrays. One sort
@@ -445,12 +459,33 @@ class HnswIndex:
         return [[self._adj[lc][u, :self._deg[lc][u]].tolist() for lc in range(level + 1)]
                 for u, level in enumerate(self.levels)]
 
+    def _greedy(self, q64: np.ndarray, entry: int, layer: int) -> int:
+        """The id `_beam(q64, [entry], 1, layer)` returns, by a plain greedy
+        descent: step to the current node's nearest link while that link's
+        `_key` is below the node's own. Each step strictly lowers the key, so
+        no node is visited twice and no seen marker is needed; a link the
+        beam would skip as seen has a key above the current node's."""
+        adj, deg, vecs = self._adj[layer], self._deg[layer], self.store.vectors
+        u = int(entry)
+        key = _key(float(_sq_dists(vecs[u:u + 1], q64)[0]), u)
+        while deg[u]:
+            nb = adj[u, :deg[u]].astype(np.intp)
+            d = _sq_dists(vecs[nb], q64)
+            j = np.lexsort((nb, d))[0]
+            best = _key(float(d[j]), int(nb[j]))
+            if best >= key:
+                break
+            u, key = best[2], best
+        return u
+
     def _beam(self, q64: np.ndarray, entries: np.ndarray, ef: int, layer: int) -> np.ndarray:
         """The ef ids nearest q64 found on `layer` from `entries`, by
         (distance, id). Each round gathers the rows of every beam member not
         yet expanded, keeps the ids no round has seen yet, each once, and
         trims the beam with them back to ef; the members that came in this
-        round are the next round's frontier."""
+        round are the next round's frontier. The walk ends when a round
+        finds no unseen id or leaves no frontier. Callers use it for ef >= 2;
+        a beam of one is `_greedy`."""
         adj, vecs = self._adj[layer], self.store.vectors
         # per call, so searches stay reentrant; 0 marks an id not seen yet,
         # and one array both drops seen ids and dedupes the rest
@@ -458,9 +493,13 @@ class HnswIndex:
         seen[-1] = -1
         seen[entries] = -1
         ids, dists, front = entries, _sq_dists(vecs[entries], q64), entries
+        trimmed = False  # a trim leaves the beam in (distance, id) order
         while front.size:
-            fresh = adj[front].ravel()
+            # one cast to intp, so no index below converts the int32 ids again
+            fresh = adj[front].ravel().astype(np.intp)
             fresh = fresh[seen[fresh] == 0]
+            if not fresh.size:
+                break
             if front.size > 1:
                 # rows can share ids: each keeps only the slot that stamped it last
                 slots = np.arange(1, fresh.size + 1)
@@ -471,11 +510,12 @@ class HnswIndex:
             ids = np.concatenate((ids, fresh))
             dists = np.concatenate((dists, _sq_dists(vecs[fresh], q64)))
             front = fresh
-            if ids.size > ef:
+            trimmed = ids.size > ef
+            if trimmed:
                 keep = _order(ids, dists, ef)
                 front = ids[keep[keep >= ids.size - fresh.size]]
                 ids, dists = ids[keep], dists[keep]
-        return ids[_order(ids, dists, ef)]
+        return ids if trimmed else ids[_order(ids, dists, ef)]
 
     def _insert(self, i: int) -> None:
         level = self.levels[i]
@@ -484,12 +524,13 @@ class HnswIndex:
             return
         vecs = self.store.vectors
         q = vecs[i].astype(np.float64)
-        m = self.params.M
-        ep = np.array([self.entry], dtype=np.int32)
-        for lc in range(self.max_level, -1, -1):
-            ep = self._beam(q, ep, self.params.ef_construction if lc <= level else 1, lc)
-            if lc > level:
-                continue
+        m, ef = self.params.M, self.params.ef_construction
+        ep = self.entry
+        for lc in range(self.max_level, level, -1):
+            ep = self._greedy(q, ep, lc)
+        ep = np.array([ep])
+        for lc in range(min(level, self.max_level), -1, -1):
+            ep = self._beam(q, ep, ef, lc) if ef > 1 else np.array([self._greedy(q, ep[0], lc)])
             adj, deg = self._adj[lc], self._deg[lc]
             links = ep[:m]
             adj[i, :links.size] = links
@@ -576,16 +617,18 @@ def hnsw_build(store: VectorStore, params: HnswParams) -> HnswIndex:
 
 
 def hnsw_search(index: HnswIndex, query: np.ndarray, k: int) -> np.ndarray:
-    """Greedy descent (a beam of one) to layer 0, then a beam of ef_search."""
+    """Greedy descent to layer 0, then a beam of ef_search there."""
     query = _check_query(query, index.store, k)
     ef = index.params.ef_search
     if ef < k:
         raise ValueError(f"ef_search {ef} must be >= k {k}")
     q = query.astype(np.float64)
-    ep = np.array([index.entry], dtype=np.int32)
-    for lc in range(index.max_level, -1, -1):
-        ep = index._beam(q, ep, ef if lc == 0 else 1, lc)
-    return ep[:k].astype(np.int64)
+    ep = index.entry
+    for lc in range(index.max_level, 0, -1):
+        ep = index._greedy(q, ep, lc)
+    if ef == 1:
+        return np.array([index._greedy(q, ep, 0)], dtype=np.int64)
+    return index._beam(q, np.array([ep]), ef, 0)[:k].astype(np.int64)
 
 
 # -- metrics ------------------------------------------------------------------

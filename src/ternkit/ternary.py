@@ -4,10 +4,13 @@ The threshold is a beta-scaled mean absolute weight,
 
     gamma = (beta / (m*n)) * sum_ij |W_ij|
 
-and the partition maps each entry to +1 above gamma, -1 below -gamma, and 0
-on the closed band [-gamma, gamma]. Boundary entries with |W| == gamma land
-on 0, so ties are deterministic. gamma doubles as the scale the forward
-pass applies to the trit matrix.
+summed in float64. The partition compares the float32 weights with that
+Python float in float32 (NumPy's NEP 50 rule), so its edge is g, gamma
+rounded to float32: each entry maps to +1 above g, -1 below -g, and 0 on
+the closed band [-g, g]. Boundary entries with |W| == g land on 0, so ties
+are deterministic, and an entry equal to g is 0 even where g exceeds the
+float64 gamma. g is also the scale the forward pass applies to the trit
+matrix.
 
 ``ternarize`` writes the partition straight into the two bit planes of a
 ``packed.PackedTernaryMatrix``; there is no separate int8 trit type. The
@@ -64,10 +67,11 @@ def ternary_dense(w: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
 
 
 def ternarize(w: np.ndarray, gamma: float, bias: np.ndarray | None = None) -> PackedTernaryMatrix:
-    """Partition W at the closed band [-gamma, gamma] into bit planes.
+    """Partition W at the closed band [-g, g] into bit planes, where g is
+    gamma rounded to float32 (the stored scale).
 
-    Entries strictly above gamma set a plus bit, strictly below -gamma a
-    minus bit, everything else (including exact boundary hits) neither.
+    Entries strictly above g set a plus bit, strictly below -g a minus bit,
+    everything else (including exact boundary hits) neither.
     A gamma that is negative, or not finite in float32, raises ValueError.
     """
     w = as_matrix(w, "weights")

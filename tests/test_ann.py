@@ -583,6 +583,106 @@ def test_hnsw_finalize_equals_set_reference(groups, size, dim, interleave, nan_r
     assert np.array_equal(index._adj[0], want)
     assert np.array_equal(index._deg[0], (want[:n] != n).sum(axis=1))
 
+
+@st.composite
+def hnsw_inserted(draw):
+    """An adversarial store with a NaN or ±inf entry in one row or in the
+    query (or in neither), and an HnswIndex over it with drawn levels up to 3
+    and every node inserted; layer 0 is not finalized yet. Returns the index
+    and two float64 queries: the drawn one and the store's last row."""
+    vecs = draw(adversarial_store())
+    n, d = vecs.shape
+    q = vecs[draw(st.integers(0, n - 1))].copy()
+    bad = draw(st.sampled_from([np.inf, -np.inf, np.nan, None]))
+    if bad is not None:
+        row, col = draw(st.integers(-1, n - 1)), draw(st.integers(0, d - 1))
+        (q if row < 0 else vecs[row])[col] = bad
+    levels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    params = HnswParams(M=draw(st.integers(2, 4)), ef_construction=draw(st.sampled_from([1, 2, 3])),
+                        seed=0)
+    index = ann.HnswIndex(VectorStore(vecs), params, levels)
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            index._insert(i)
+    return index, [q.astype(np.float64), vecs[-1].astype(np.float64)]
+
+
+def layer_nodes(index, layer):
+    return [u for u, level in enumerate(index.levels) if level >= layer]
+
+
+def hnsw_layer_states(index):
+    """Every (layer, nodes on it) of the inserted index, then layer 0 again
+    after `_finalize_layer0`."""
+    for layer in range(max(index.levels) + 1):
+        yield layer, layer_nodes(index, layer)
+    index._finalize_layer0()
+    yield 0, layer_nodes(index, 0)
+
+
+@given(hnsw_inserted())
+@settings(max_examples=150, deadline=None)
+def test_hnsw_greedy_equals_beam_of_one(case):
+    """From every node of every layer, the greedy descent ends where a beam
+    of one does, NaN and infinite distances included, on layer 0 both as the
+    inserts leave it and finalized."""
+    index, queries = case
+    with np.errstate(invalid="ignore"):
+        for layer, nodes in hnsw_layer_states(index):
+            for e in nodes:
+                for q in queries:
+                    want = int(index._beam(q, np.array([e]), 1, layer)[0])
+                    assert index._greedy(q, e, layer) == want
+
+
+def beam_reference(index, q64, entries, ef, layer):
+    """The frontier beam in its first form: every round runs until the
+    frontier is empty, the int32 ids are indexed as they are, and the beam
+    is sorted once more at the end."""
+    adj, vecs = index._adj[layer], index.store.vectors
+    seen = np.zeros(len(vecs) + 1, dtype=np.intp)
+    seen[-1] = -1
+    seen[entries] = -1
+    ids, dists, front = entries, ann._sq_dists(vecs[entries], q64), entries
+    while front.size:
+        fresh = adj[front].ravel()
+        fresh = fresh[seen[fresh] == 0]
+        if front.size > 1:
+            slots = np.arange(1, fresh.size + 1)
+            seen[fresh] = slots
+            fresh = fresh[seen[fresh] == slots]
+        else:
+            seen[fresh] = 1
+        ids = np.concatenate((ids, fresh))
+        dists = np.concatenate((dists, ann._sq_dists(vecs[fresh], q64)))
+        front = fresh
+        if ids.size > ef:
+            keep = ann._order(ids, dists, ef)
+            front = ids[keep[keep >= ids.size - fresh.size]]
+            ids, dists = ids[keep], dists[keep]
+    return ids[ann._order(ids, dists, ef)]
+
+
+@given(hnsw_inserted())
+@settings(max_examples=40, deadline=None)
+def test_hnsw_beam_equals_reference_beam(case):
+    """`_beam` returns the reference beam's ids for ef 2, 3 and n, from each
+    single node and from pairs and the whole layer in descending id order,
+    on every layer and on the finalized layer 0."""
+    index, queries = case
+    n = len(index.levels)
+    with np.errstate(invalid="ignore"):
+        for layer, nodes in hnsw_layer_states(index):
+            down = np.array(nodes[::-1], dtype=np.int32)
+            starts = [down[j:j + 1] for j in range(down.size)]
+            starts += [down[j:j + 2] for j in range(down.size - 1)] + [down]
+            for ef in sorted({2, 3, n}):
+                for entries in starts:
+                    for q in queries:
+                        assert np.array_equal(index._beam(q, entries, ef, layer),
+                                              beam_reference(index, q, entries, ef, layer))
+
+
 def test_hnsw_single_point():
     store = VectorStore(np.array([[1.0, 2.0]], np.float32))
     index = hnsw_build(store, HnswParams(M=2, seed=0))

@@ -171,3 +171,21 @@ def test_ternary_dense_boundary_ties_and_non_finite():
         w[0, 1] = bad
         with pytest.raises(ValueError):
             ternary_dense(w, 1.0)
+
+
+def test_band_edge_is_gamma_rounded_to_float32():
+    """A float32 weight compares with gamma in float32 (NEP 50), so the edge
+    of the zero band is float32(gamma), the stored scale. An entry moved onto
+    that edge (each move shifts gamma, so until it stays put) lies above the
+    float64 gamma, yet both partitions put it in the band."""
+    w = random_matrix(Rng(0), 4, 8)
+    for _ in range(50):
+        edge = np.float32(compute_threshold(w, 2.0))
+        if w[0, 0] == edge:
+            break
+        w[0, 0] = edge
+    gamma = compute_threshold(w, 2.0)
+    assert w[0, 0] == np.float32(gamma) and float(w[0, 0]) > gamma  # so W > gamma in float64
+    assert _plane_trits(ternarize(w, gamma))[0, 0] == 0
+    dense, scale = ternary_dense(w, 2.0)
+    assert dense[0, 0] == 0.0 and scale == float(w[0, 0])
