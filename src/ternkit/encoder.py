@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -78,8 +78,12 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**{k: d[k] for k in ("input_dim", "hidden_dim", "output_dim",
-                                        "num_blocks", "seed")})
+        """ValueError unless d is a dict whose keys are exactly this class's fields."""
+        names = {f.name for f in fields(cls)}
+        if not isinstance(d, dict) or d.keys() != names:
+            raise ValueError(f"config must be a JSON object with exactly the keys "
+                             f"{sorted(names)}, got {d!r:.200}")
+        return cls(**d)
 
 
 def part_shapes(config: EncoderConfig) -> list[tuple[str, dict[str, tuple[int, ...]]]]:

@@ -1,28 +1,30 @@
-"""Bit-exact binary file formats.
+"""Bit-exact binary file formats, each layout stated once.
 
-All headers are little-endian with fixed-width fields, so golden files are
-portable across platforms. Every loader validates magic, version, declared
-lengths, and the in-memory invariants of what it builds; every loadable
-file re-serializes to identical bytes.
+Every header is one little-endian ``struct.Struct`` that its writer packs
+and its reader unpacks (``_read_header`` checks magic and version), so
+golden files are portable. Every file loader runs its reader through
+``_load_whole``, the one trailing-bytes check. Loaders validate declared
+lengths and what they build; every loadable file re-serializes to
+identical bytes. A file shorter than its header raises TruncatedFileError;
+an unseekable input (a pipe) raises FormatError once a length above one
+buffer has to be checked.
 
 Tensor container ("TERN"):   magic(4) version(u16) dtype(u8) rank(u8)
                              dims(u32 each) payload
-    dtype 0 = float32, 2 = uint8. Code 1 (bare trit planes) is retired:
-    like any other code it is rejected, and ternary weights are stored only
-    as packed layer records.
+    dtype 0 = float32, 2 = uint8, one table (_DTYPES) both ways. Code 1
+    (bare trit planes) is retired and rejected like any other code.
 
 Packed layer record ("TPKD"): magic(4) version(u16) rows(u32) cols(u32)
                               gamma(f32) bias_present(u8)
                               plus_plane minus_plane [bias f32*rows]
-    The 19-byte header is one struct, which both the writer and
-    storage_bytes (the record's exact size) use.
 
 Vector dataset:               count(u32) dim(u32) then count*dim f32.
 
 Model checkpoint:             concatenated records (TERN and/or TPKD) plus
                               a JSON sidecar at <path>.json naming each
                               entry in order and carrying the config and a
-                              SHA-256 of the binary file.
+                              SHA-256 of the binary file. Its keys, integer
+                              version and config fields are checked exactly.
 """
 
 from __future__ import annotations
@@ -84,14 +86,13 @@ class ConfigError(FormatError):
 
 
 def _bytes_left(f) -> int:
-    """Bytes between the read position and the end of the file."""
-    try:
-        size = os.fstat(f.fileno()).st_size
-    except OSError:  # in-memory streams have no descriptor
-        pos = f.tell()
-        size = f.seek(0, os.SEEK_END)
-        f.seek(pos)
-    return size - f.tell()
+    """Bytes between the read position and the end; FormatError if f cannot seek."""
+    if not f.seekable():
+        raise FormatError("input is not seekable, so its declared lengths cannot be checked")
+    pos = f.tell()
+    end = f.seek(0, os.SEEK_END)
+    f.seek(pos)
+    return end - pos
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -107,19 +108,33 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def _expect_magic(f, magic: bytes) -> None:
-    got = _read_exact(f, 4, "magic")
+def _read_header(f, header: struct.Struct, magic: bytes) -> list:
+    """Unpack a header that opens with magic and version; return its other fields."""
+    got, version, *fields = header.unpack(_read_exact(f, header.size, f"{magic.decode()} header"))
     if got != magic:
         raise BadMagicError(f"expected magic {magic!r}, found {got!r}")
-
-
-def _read_version(f) -> None:
-    (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}")
+    return fields
+
+
+def _load_whole(path, read, what: str):
+    """read(f) on the file at path, which must end where read stops."""
+    with open(path, "rb") as f:
+        out = read(f)
+        if f.read(1):
+            raise IntegrityError(f"trailing bytes after {what}")
+    return out
 
 
 # -- tensor container ----------------------------------------------------------
+
+# magic, version, dtype code, rank: 8 bytes, then rank u32 dims
+_TENSOR_HEADER = struct.Struct("<4sHBB")
+
+# dtype code -> array dtype; payloads store it little-endian
+_DTYPES = {DTYPE_F32: np.dtype(np.float32), DTYPE_U8: np.dtype(np.uint8)}
+
 
 def write_tensor(f, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
@@ -127,36 +142,27 @@ def write_tensor(f, arr: np.ndarray) -> None:
         raise ValueError("0-dimensional tensors are rejected")
     if any(d < 1 for d in arr.shape):
         raise ValueError(f"all dims must be >= 1, got {arr.shape}")
-    if arr.dtype == np.float32:
-        code, payload = DTYPE_F32, arr.astype("<f4").tobytes(order="C")
-    elif arr.dtype == np.uint8:
-        code, payload = DTYPE_U8, arr.tobytes(order="C")
-    else:
+    code = next((c for c, dtype in _DTYPES.items() if arr.dtype == dtype), None)
+    if code is None:
         raise ValueError(f"unsupported tensor dtype {arr.dtype}")
-    f.write(MAGIC_TENSOR)
-    f.write(struct.pack("<HBB", FORMAT_VERSION, code, arr.ndim))
+    f.write(_TENSOR_HEADER.pack(MAGIC_TENSOR, FORMAT_VERSION, code, arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(payload)
+    f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes(order="C"))
 
 
 def read_tensor(f):
     """Read one container as an ndarray."""
-    _expect_magic(f, MAGIC_TENSOR)
-    _read_version(f)
-    code, rank = struct.unpack("<BB", _read_exact(f, 2, "dtype/rank"))
+    code, rank = _read_header(f, _TENSOR_HEADER, MAGIC_TENSOR)
     if rank < 1:
         raise IntegrityError("rank must be >= 1")
     dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
     if any(d < 1 for d in dims):
         raise IntegrityError(f"all dims must be >= 1, got {dims}")
-    count = math.prod(dims)
-    if code == DTYPE_F32:
-        payload = _read_exact(f, 4 * count, "f32 payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-    if code == DTYPE_U8:
-        payload = _read_exact(f, count, "u8 payload")
-        return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-    raise FormatError(f"unknown dtype code {code}")
+    if code not in _DTYPES:
+        raise FormatError(f"unknown dtype code {code}")
+    dtype = _DTYPES[code]
+    payload = _read_exact(f, dtype.itemsize * math.prod(dims), f"{dtype} payload")
+    return np.frombuffer(payload, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
@@ -165,11 +171,7 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path):
-    with open(path, "rb") as f:
-        out = read_tensor(f)
-        if f.read(1):
-            raise IntegrityError("trailing bytes after tensor container")
-    return out
+    return _load_whole(path, read_tensor, "tensor container")
 
 
 # -- packed layer record ---------------------------------------------------------
@@ -194,13 +196,9 @@ def write_packed_layer(f, p: PackedTernaryMatrix) -> None:
 
 
 def read_packed_layer(f) -> PackedTernaryMatrix:
-    _expect_magic(f, MAGIC_PACKED)
-    _read_version(f)
-    rows, cols = struct.unpack("<II", _read_exact(f, 8, "rows/cols"))
+    rows, cols, gamma, bias_flag = _read_header(f, _PACKED_HEADER, MAGIC_PACKED)
     if rows < 1 or cols < 1:
         raise IntegrityError(f"dimensions must be positive, got {rows}x{cols}")
-    (gamma,) = struct.unpack("<f", _read_exact(f, 4, "gamma"))
-    (bias_flag,) = struct.unpack("<B", _read_exact(f, 1, "bias flag"))
     if bias_flag not in (0, 1):
         raise IntegrityError(f"bias flag must be 0 or 1, got {bias_flag}")
     nbytes = row_bytes(cols)
@@ -208,10 +206,8 @@ def read_packed_layer(f) -> PackedTernaryMatrix:
                          dtype=np.uint8).reshape(rows, nbytes).copy()
     minus = np.frombuffer(_read_exact(f, rows * nbytes, "minus plane"),
                           dtype=np.uint8).reshape(rows, nbytes).copy()
-    bias = None
-    if bias_flag:
-        bias = np.frombuffer(_read_exact(f, 4 * rows, "bias"),
-                             dtype="<f4").astype(np.float32)
+    bias = (np.frombuffer(_read_exact(f, 4 * rows, "bias"), dtype="<f4").astype(np.float32)
+            if bias_flag else None)
     try:
         return PackedTernaryMatrix(rows, cols, plus, minus, gamma, bias)
     except ValueError as e:  # PlaneIntegrityError included
@@ -224,33 +220,34 @@ def save_packed_layer(path, p: PackedTernaryMatrix) -> None:
 
 
 def load_packed_layer(path) -> PackedTernaryMatrix:
-    with open(path, "rb") as f:
-        out = read_packed_layer(f)
-        if f.read(1):
-            raise IntegrityError("trailing bytes after packed layer record")
-    return out
+    return _load_whole(path, read_packed_layer, "packed layer record")
 
 
 # -- vector dataset --------------------------------------------------------------
+
+# count, dim: 8 bytes, then count*dim f32
+_VECTORS_HEADER = struct.Struct("<II")
+
 
 def save_vectors(path, vectors: np.ndarray) -> None:
     vectors = np.asarray(vectors, dtype=FLOAT)
     if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
         raise ValueError(f"vectors must be non-empty 2-D, got {vectors.shape}")
     with open(path, "wb") as f:
-        f.write(struct.pack("<II", vectors.shape[0], vectors.shape[1]))
+        f.write(_VECTORS_HEADER.pack(*vectors.shape))
         f.write(vectors.astype("<f4").tobytes(order="C"))
 
 
-def load_vectors(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        count, dim = struct.unpack("<II", _read_exact(f, 8, "dataset header"))
-        if count < 1 or dim < 1:
-            raise IntegrityError(f"count and dim must be positive, got {count}, {dim}")
-        payload = _read_exact(f, 4 * count * dim, "dataset payload")
-        if f.read(1):
-            raise IntegrityError("trailing bytes after vector dataset")
+def _read_vectors(f) -> np.ndarray:
+    count, dim = _VECTORS_HEADER.unpack(_read_exact(f, _VECTORS_HEADER.size, "dataset header"))
+    if count < 1 or dim < 1:
+        raise IntegrityError(f"count and dim must be positive, got {count}, {dim}")
+    payload = _read_exact(f, 4 * count * dim, "dataset payload")
     return np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
+
+
+def load_vectors(path) -> np.ndarray:
+    return _load_whole(path, _read_vectors, "vector dataset")
 
 
 # -- model checkpoints ------------------------------------------------------------
@@ -349,7 +346,8 @@ def _load_sidecar(path) -> dict:
         raise ConfigError(f"malformed sidecar JSON: {e}") from e
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError("not a checkpoint sidecar")
-    if meta.get("version") != FORMAT_VERSION:
+    # by type too, so neither true nor 1.0 passes for the integer 1
+    if type(meta.get("version")) is not int or meta["version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported checkpoint version {meta.get('version')}")
     missing = [k for k in ("sha256", "mode", "entries", "config") if k not in meta]
     if missing:
@@ -372,7 +370,7 @@ def load_checkpoint(path):
         raise IntegrityError("checkpoint bytes do not match the recorded checksum")
     try:
         config = EncoderConfig.from_dict(meta["config"])
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad config in sidecar: {e}") from e
     mode = meta["mode"]
     if meta.get("normalize", False) is not False:
@@ -388,8 +386,8 @@ def load_checkpoint(path):
     if listed != [(name, kind) for name, kind, _ in expected]:
         raise ConfigError("sidecar entries do not match the architecture in its config")
 
-    records = {}
-    with open(path, "rb") as f:
+    def read_records(f) -> dict:
+        records = {}
         for name, kind, shape in expected:
             if kind == "packed":
                 record = read_packed_layer(f)
@@ -400,9 +398,9 @@ def load_checkpoint(path):
             if not ok:
                 raise IntegrityError(f"record {name} does not match its config shape {shape}")
             records[name] = record
-        if f.read(1):
-            raise IntegrityError("trailing bytes after checkpoint records")
+        return records
 
+    records = _load_whole(path, read_records, "checkpoint records")
     if mode == "packed":
         parts = part_shapes(config)
         packed = [records[name] for name, shapes in parts if "weight" in shapes]
@@ -413,9 +411,8 @@ def load_checkpoint(path):
     if linear_mode not in (MODE_FULL, MODE_TERNARY):
         raise ConfigError(f"unknown linear mode {linear_mode!r}")
     beta = meta.get("beta", DEFAULT_BETA)
-    # bool is an int subclass; the bounds also reject nan, inf and huge ints
-    number = isinstance(beta, (int, float)) and not isinstance(beta, bool)
-    if not (number and 0 < beta <= sys.float_info.max):
+    # by type, as bool is an int subclass; the bounds reject nan, inf and huge ints
+    if not (type(beta) in (int, float) and 0 < beta <= sys.float_info.max):
         raise ConfigError(f"beta must be a finite positive number, got {beta!r}")
     return EncoderModel.from_arrays(config, records, linear_mode, float(beta))
 

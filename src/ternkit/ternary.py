@@ -4,13 +4,13 @@ The threshold is a beta-scaled mean absolute weight,
 
     gamma = (beta / (m*n)) * sum_ij |W_ij|
 
-summed in float64. The partition compares the float32 weights with that
-Python float in float32 (NumPy's NEP 50 rule), so its edge is g, gamma
-rounded to float32: each entry maps to +1 above g, -1 below -g, and 0 on
-the closed band [-g, g]. Boundary entries with |W| == g land on 0, so ties
-are deterministic, and an entry equal to g is 0 even where g exceeds the
-float64 gamma. g is also the scale the forward pass applies to the trit
-matrix.
+summed in float64. The partition compares the float32 weights with g,
+gamma rounded to float32 (``ternarize`` rounds it whatever its type;
+``ternary_dense``'s Python float rounds by NumPy's NEP 50 rule): each
+entry maps to +1 above g, -1 below -g, and 0 on the closed band [-g, g].
+Boundary entries with |W| == g land on 0, so ties are deterministic, and
+an entry equal to g is 0 even where g exceeds the float64 gamma. g is also
+the scale the forward pass applies to the trit matrix.
 
 ``ternarize`` writes the partition straight into the two bit planes of a
 ``packed.PackedTernaryMatrix``; there is no separate int8 trit type. The
@@ -40,8 +40,8 @@ def compute_threshold(w: np.ndarray, beta: float) -> float:
 
 
 def _threshold(w: np.ndarray, beta: float) -> float:
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:  # nan fails every comparison
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     total = np.abs(w, dtype=np.float64).sum()
     return float(beta) * float(total) / w.size
 
@@ -75,9 +75,9 @@ def ternarize(w: np.ndarray, gamma: float, bias: np.ndarray | None = None) -> Pa
     A gamma that is negative, or not finite in float32, raises ValueError.
     """
     w = as_matrix(w, "weights")
-    with np.errstate(over="ignore"):  # a gamma past float32's range compares as inf
-        plus = np.packbits(w > gamma, axis=1, bitorder="little")
-        minus = np.packbits(w < -gamma, axis=1, bitorder="little")
+    g = FLOAT(_float32_gamma(gamma))  # float32 whatever gamma's type, as ternary_dense
+    plus = np.packbits(w > g, axis=1, bitorder="little")
+    minus = np.packbits(w < -g, axis=1, bitorder="little")
     return PackedTernaryMatrix(w.shape[0], w.shape[1], plus, minus, gamma, bias)
 
 
@@ -99,8 +99,6 @@ def beta_sweep(w: np.ndarray, betas: list[float]) -> list[SweepRow]:
     """Threshold and sparsity for each beta, sorted by beta ascending."""
     if not betas:
         raise ValueError("betas must be non-empty")
-    if any(b <= 0 for b in betas):
-        raise ValueError("all betas must be positive")
     w = as_matrix(w, "weights")
     rows = []
     for beta in sorted(betas):

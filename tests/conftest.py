@@ -1,3 +1,7 @@
+import contextlib
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +17,28 @@ settings.load_profile("ternkit")
 @pytest.fixture
 def rng():
     return Rng(1234)
+
+
+@contextlib.contextmanager
+def piped(raw: bytes):
+    """A path that reads raw through a pipe, so it cannot seek, as a shell's
+    `cat file | ternkit ... /dev/stdin` does."""
+    r, w = os.pipe()
+
+    def feed():
+        view = memoryview(raw)
+        with contextlib.suppress(BrokenPipeError):
+            while view:
+                view = view[os.write(w, view):]
+        os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)  # a reader that stopped early unblocks the writer
+        writer.join()
 
 
 def random_matrix(rng: Rng, rows: int, cols: int, sigma: float = 1.0) -> np.ndarray:

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import piped
 from ternkit import storage
 from ternkit.cli import main
 from ternkit.encoder import MODE_TERNARY, replace_linears
@@ -370,6 +371,9 @@ SIDECAR_EDITS = {
     "normalize_true": lambda meta: meta.update(normalize=True),
     "normalize_no": lambda meta: meta.update(normalize="no"),
     "unknown_keys": lambda meta: meta.update(beta="garbage", linear_mode="bogus", bogus_key=1),
+    "config_extra_key": lambda meta: meta["config"].update(hidden_dims=999),
+    "version_true": lambda meta: meta.update(version=True),
+    "version_float": lambda meta: meta.update(version=1.0),
 }
 BAD_BETAS = {"string": "2", "nan": math.nan, "zero": 0, "negative": -1, "inf": math.inf}
 
@@ -393,10 +397,28 @@ def test_eval_retrieval_malformed_sidecar_exits_2(capsys, tmp_path, task_files, 
     meta = json.loads(sidecar.read_text())
     edit(meta)
     sidecar.write_text(json.dumps(meta))
-    code, _, err = run_cli(capsys, "eval-retrieval", "--model", str(model),
-                           "--dataset", str(data), "--labels", str(labels),
-                           "--index", "flat", "--k", "1")
-    assert code == 2, err
+    code, records, err = run_cli(capsys, "eval-retrieval", "--model", str(model),
+                                 "--dataset", str(data), "--labels", str(labels),
+                                 "--index", "flat", "--k", "1")
+    assert code == 2 and not records, err
+
+
+def test_eval_retrieval_piped_dataset_exits_2(capsys, tmp_path, task_files):
+    """A dataset larger than one read buffer cannot be size-checked through a
+    pipe, so it exits 2, as a dataset file that is malformed does."""
+    teacher, data, labels = task_files
+    # the task twice over: a 15 KiB payload, past one 8 KiB buffer
+    doubled, doubled_labels = tmp_path / "doubled.vec", tmp_path / "doubled.tern"
+    storage.save_vectors(doubled, np.concatenate([storage.load_vectors(data)] * 2))
+    storage.save_tensor(doubled_labels, np.concatenate([storage.load_tensor(labels)] * 2))
+    argv = ["eval-retrieval", "--model", str(teacher), "--labels", str(doubled_labels),
+            "--index", "flat", "--k", "1"]
+    code, records, err = run_cli(capsys, *argv, "--dataset", str(doubled))
+    assert code == 0 and records, err
+    with piped(doubled.read_bytes()) as pipe:
+        code, records, err = run_cli(capsys, *argv, "--dataset", pipe)
+    assert code == 2 and not records, err
+    assert "not seekable" in err
 
 
 def test_eval_retrieval_sidecar_not_utf8_exits_2(capsys, tmp_path, task_files):
@@ -427,6 +449,21 @@ def test_make_task_missing_encoder_seed_is_zero(capsys, tmp_path):
         assert code == 0, err
         outputs.append((teacher.read_bytes(), (tmp_path / f"t_{tag}.ckpt.json").read_text()))
     assert outputs[0] == outputs[1]
+
+
+def test_make_task_unknown_encoder_key_exits_2(capsys, tmp_path):
+    cfg_path = tmp_path / "task.json"
+    cfg_path.write_text(json.dumps({  # "sed" is a typo for "seed", which once read as seed 0
+        "encoder": {"input_dim": 6, "hidden_dim": 6, "output_dim": 6, "num_blocks": 1, "sed": 5},
+        "task": {"num_clusters": 2, "num_points": 40, "seed": 9, "teacher_epochs": 1},
+    }))
+    outputs = [tmp_path / name for name in ("t.ckpt", "d.vec", "l.tern")]
+    code, records, err = run_cli(capsys, "make-task", "--config", str(cfg_path),
+                                 "--out-teacher", str(outputs[0]), "--out-data", str(outputs[1]),
+                                 "--out-labels", str(outputs[2]))
+    assert code == 2 and not records, err
+    assert "sed" in err and "ConfigError" in err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_seed_env_override_changes_task(capsys, tmp_path, monkeypatch):

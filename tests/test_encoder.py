@@ -38,6 +38,16 @@ def finite_difference_grads(model, x, target, h=1e-3):
     return fd
 
 
+def test_config_from_dict_takes_exactly_its_fields():
+    config = small_config()
+    fields = config.to_dict()
+    assert EncoderConfig.from_dict(fields) == config
+    no_seed = {k: v for k, v in fields.items() if k != "seed"}
+    for bad in ({**fields, "sed": 5}, no_seed, list(fields.values()), None):
+        with pytest.raises(ValueError, match="config"):
+            EncoderConfig.from_dict(bad)
+
+
 def test_zero_weight_model_gives_zero_embeddings():
     config = EncoderConfig(4, 4, 4, 1, seed=0)
     model = EncoderModel.init(config)

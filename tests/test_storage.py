@@ -1,20 +1,23 @@
+import hashlib
 import io
 import json
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import piped, random_matrix
 from ternkit import storage
 from ternkit.encoder import (EncoderConfig, EncoderModel, MODE_FULL, MODE_TERNARY,
                              PackedEncoder, replace_linears)
-from ternkit.packed import packed_gemm
+from ternkit.packed import _plane_trits, packed_gemm
 from ternkit.rng import Rng
-from ternkit.storage import (BadMagicError, ConfigError, IntegrityError,
+from ternkit.storage import (BadMagicError, ConfigError, FormatError, IntegrityError,
                              TruncatedFileError, UnsupportedVersionError, storage_bytes)
 from ternkit.ternary import compute_threshold, ternarize
 
@@ -185,6 +188,54 @@ HUGE = 60000  # a 60000x60000 f32 payload would be 14.4 GB
 def test_forged_payload_size_rejected_before_reading(raw, reader):
     with pytest.raises(TruncatedFileError, match="remain in the file"):
         reader(_StrictStream(raw + b"\x00" * 64))
+
+
+def test_vectors_through_a_pipe(tmp_path):
+    """A pipe cannot be sized: a payload within one buffer loads, and a larger
+    one raises FormatError, never an OSError."""
+    small, large = random_matrix(Rng(4), 4, 8), random_matrix(Rng(5), 300, 8)  # 128 B, 9600 B
+    path = tmp_path / "v.vec"
+    storage.save_vectors(path, small)
+    with piped(path.read_bytes()) as pipe:
+        assert np.array_equal(storage.load_vectors(pipe), small)
+    storage.save_vectors(path, large)
+    with piped(path.read_bytes()) as pipe, pytest.raises(FormatError, match="not seekable"):
+        storage.load_vectors(pipe)
+
+
+@pytest.mark.parametrize("load", [storage.load_tensor, storage.load_packed_layer,
+                                  storage.load_vectors])
+def test_file_shorter_than_its_header_is_truncated(tmp_path, load):
+    """The header is read whole before any field is checked, so even a wrong
+    magic reads as truncation here."""
+    path = tmp_path / "short"
+    path.write_bytes(b"NOPE\x00")
+    with pytest.raises(TruncatedFileError):
+        load(path)
+
+
+def _doc_hex_dumps() -> list[bytes]:
+    """The bytes of each hex dump in docs/formats.md, in document order."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    return [bytes.fromhex(" ".join(line for line in block.splitlines()
+                                   if re.fullmatch(r"[0-9a-f]{2}( +[0-9a-f]{2})*", line)))
+            for block in re.findall(r"```\n(.*?)```", text, re.S)]
+
+
+def test_format_doc_examples_are_the_written_bytes(tmp_path):
+    tern, tpkd, vec = _doc_hex_dumps()
+    path = tmp_path / "example"
+    for raw, value, save, load in (
+            (tern, np.array([[1.0, 2.0]], np.float32), storage.save_tensor, storage.load_tensor),
+            (vec, np.array([[1.0, 2.0]], np.float32), storage.save_vectors, storage.load_vectors)):
+        save(path, value)
+        assert path.read_bytes() == raw
+        assert np.array_equal(load(path), value)
+    storage.save_packed_layer(path, ternarize(np.array([[2, 0], [-2, 2]], np.float32), 1.5))
+    assert path.read_bytes() == tpkd
+    back = storage.load_packed_layer(path)
+    assert _plane_trits(back).tolist() == [[1, 0], [-1, 1]]
+    assert back.gamma == 1.5 and back.bias is None
 
 
 def test_vectors_forged_count_rejected(tmp_path):
@@ -396,24 +447,47 @@ def test_sidecar_outside_schema_is_config_error(tmp_path, save, edit):
 
 @pytest.fixture(scope="module")
 def fuzz_targets(tmp_path_factory):
-    """name -> (valid bytes, load) for a TPKD record and a dense and a packed
-    checkpoint sidecar; load reads the bytes it is given through the public loader."""
+    """name -> (valid bytes, load) for every format a loader reads: a TPKD
+    record, a TERN container, a vector file, and a dense and a packed
+    checkpoint's sidecar and binary. load reads the bytes it is given through
+    the public loader; a binary's sidecar gets the bytes' own sha256, so the
+    record parser is reached."""
     root = tmp_path_factory.mktemp("fuzz")
     model = replace_linears(EncoderModel.init(EncoderConfig(4, 4, 4, 1, seed=13)),
                             MODE_TERNARY, 2.0)
     buf = io.BytesIO()
     storage.write_packed_layer(buf, random_packed(Rng(13), 5, 11, bias=True))
     targets = {"record": (buf.getvalue(), lambda raw: storage.read_packed_layer(io.BytesIO(raw)))}
+
+    for name, save, value, load in (
+            ("tensor", storage.save_tensor, random_matrix(Rng(14), 3, 5), storage.load_tensor),
+            ("vectors", storage.save_vectors, random_matrix(Rng(15), 6, 3), storage.load_vectors)):
+        path = root / name
+        save(path, value)
+
+        def run(raw, path=path, load=load):
+            path.write_bytes(raw)
+            return load(path)
+        targets[name] = (path.read_bytes(), run)
     for kind, save in (("dense", storage.save_checkpoint),
                        ("packed", storage.save_ternary_checkpoint)):
         path = root / f"{kind}.ckpt"
         save(path, model)
         sidecar = root / f"{kind}.ckpt.json"
+        binary, meta = path.read_bytes(), json.loads(sidecar.read_text())
 
-        def load(raw, path=path, sidecar=sidecar):
+        # each load rewrites both files, so neither target sees the other's mutation
+        def load_sidecar(raw, path=path, sidecar=sidecar, binary=binary):
+            path.write_bytes(binary)
             sidecar.write_bytes(raw)
             return storage.load_checkpoint(path)
-        targets[f"{kind} sidecar"] = (sidecar.read_bytes(), load)
+
+        def load_binary(raw, path=path, sidecar=sidecar, meta=meta):
+            path.write_bytes(raw)
+            sidecar.write_text(json.dumps({**meta, "sha256": hashlib.sha256(raw).hexdigest()}))
+            return storage.load_checkpoint(path)
+        targets[f"{kind} sidecar"] = (sidecar.read_bytes(), load_sidecar)
+        targets[f"{kind} binary"] = (binary, load_binary)
     return targets
 
 

@@ -41,8 +41,9 @@ def test_threshold_ones_beta_two():
 
 
 def test_threshold_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        compute_threshold(np.ones((2, 2), np.float32), 0.0)
+    for beta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            compute_threshold(np.ones((2, 2), np.float32), beta)
 
 
 def test_ternarize_hand_case():
@@ -148,8 +149,9 @@ def test_beta_sweep_rejects_bad_input():
     w = np.ones((2, 2), np.float32)
     with pytest.raises(ValueError):
         beta_sweep(w, [])
-    with pytest.raises(ValueError):
-        beta_sweep(w, [1.0, -2.0])
+    for betas in ([1.0, -2.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="beta"):
+            beta_sweep(w, betas)
 
 
 @given(weight_matrices(), st.floats(0.1, 5.0))
@@ -173,11 +175,16 @@ def test_ternary_dense_boundary_ties_and_non_finite():
             ternary_dense(w, 1.0)
 
 
-def test_band_edge_is_gamma_rounded_to_float32():
-    """A float32 weight compares with gamma in float32 (NEP 50), so the edge
-    of the zero band is float32(gamma), the stored scale. An entry moved onto
-    that edge (each move shifts gamma, so until it stays put) lies above the
-    float64 gamma, yet both partitions put it in the band."""
+@pytest.mark.parametrize("gamma_type", [float, np.float64, np.float32])
+def test_band_edge_is_gamma_rounded_to_float32(gamma_type):
+    """A float32 weight compares with float32(gamma), the stored scale,
+    whatever gamma's type. An entry moved onto that edge (each move shifts
+    gamma, so until it stays put) lies above the float64 gamma, yet both
+    partitions put it in the band."""
+    up = np.nextafter(np.float32(2), np.float32(3))
+    g = 2 + 0.6 * (float(up) - 2)  # rounds up to float32 `up`, but lies below it
+    p = ternarize(np.array([[up, 1.0]], np.float32), gamma_type(g))
+    assert _plane_trits(p).tolist() == [[0, 0]]
     w = random_matrix(Rng(0), 4, 8)
     for _ in range(50):
         edge = np.float32(compute_threshold(w, 2.0))
@@ -186,6 +193,6 @@ def test_band_edge_is_gamma_rounded_to_float32():
         w[0, 0] = edge
     gamma = compute_threshold(w, 2.0)
     assert w[0, 0] == np.float32(gamma) and float(w[0, 0]) > gamma  # so W > gamma in float64
-    assert _plane_trits(ternarize(w, gamma))[0, 0] == 0
+    assert _plane_trits(ternarize(w, gamma_type(gamma)))[0, 0] == 0
     dense, scale = ternary_dense(w, 2.0)
     assert dense[0, 0] == 0.0 and scale == float(w[0, 0])
